@@ -16,8 +16,7 @@ from .priors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
                      PriorDensity, RadialProfile, density_matrix, make_prior,
                      volume_element)
 from .measurement import (MeasurementRecord, PosteriorDensity, balanced_six,
-                          evidence, likelihood, parse_record, posterior,
-                          repeat)
+                          evidence, likelihood, parse_record, posterior)
 from .infotheory import (NATS_TO_BITS, ComparisonReport, PosteriorSide,
                          Variant, Verdict, bivariate_marginal, conditional_x,
                          crossover_radius, density_ratio_at,
@@ -43,7 +42,7 @@ __all__ = [
     "PriorDensity", "RadialProfile", "density_matrix", "make_prior",
     "volume_element",
     "MeasurementRecord", "PosteriorDensity", "balanced_six", "evidence",
-    "likelihood", "parse_record", "posterior", "repeat",
+    "likelihood", "parse_record", "posterior",
     "NATS_TO_BITS", "ComparisonReport", "PosteriorSide", "Variant",
     "Verdict", "bivariate_marginal", "conditional_x", "crossover_radius",
     "density_ratio_at", "information_gain", "noninformativity_verdict",

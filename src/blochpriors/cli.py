@@ -8,15 +8,15 @@ non-convergence, ...), 2 on usage errors (argparse).  Text output shows
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
 from . import experiments, infotheory
 from .errors import BlochPriorsError
-from .infotheory import NATS_TO_BITS, PosteriorSide, Variant
+from .infotheory import NATS_TO_BITS, Variant
 from .measurement import parse_record
-from .priors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
-                     make_prior)
+from .priors import PRIOR_LABELS, BlochPoint, make_prior
 from .quadrature import QuadratureConfig
 
 __all__ = ["main"]
@@ -59,14 +59,8 @@ def _scale(args) -> float:
     return NATS_TO_BITS if args.units == "bits" else 1.0
 
 
-def _emit_scalar(args, name: str, value: float) -> None:
-    if args.format == "json":
-        print(json.dumps({name: value, "units": args.units}))
-    elif args.format == "csv":
-        print(f"{name},units")
-        print(f"{value!r},{args.units}")
-    else:
-        print(f"{value:.6g}")
+def _prior(args, cfg, label):
+    return make_prior(label, R=args.R, cfg=cfg)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,143 +112,134 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
-    cfg = _cfg(args)
+# Each command computes its result once and returns (JSON document, CSV
+# records, text lines); every CSV record is a flat dict, keyed by column.
+
+def _scalar(args, name: str, value: float):
+    doc = {name: value, "units": args.units}
+    return doc, [doc], [f"{value:.6g}"]
+
+
+def _priors(args, cfg):
+    rows = []
+    for label in PRIOR_LABELS:
+        p = _prior(args, cfg, label)
+        rows.append({"label": label, "support_radius": p.support_radius,
+                     "normalization": p.normalization})
+    lines = [f"{r['label']:>4}  R={r['support_radius']:<14g}"
+             f"  c={r['normalization']:.6g}" for r in rows]
+    return rows, rows, lines
+
+
+def _eval(args, cfg):
+    pt = BlochPoint(args.x, args.y, args.z)
+    density = _prior(args, cfg, args.p).density_at(pt, args.convention)
+    return _scalar(args, "density", density)
+
+
+def _kl(args, cfg):
+    value = infotheory.relative_entropy(_prior(args, cfg, args.p),
+                                        _prior(args, cfg, args.q), cfg)
+    return _scalar(args, "relative_entropy", value * _scale(args))
+
+
+def _compare(args, cfg):
+    report = infotheory.noninformativity_verdict(
+        _prior(args, cfg, args.p), _prior(args, cfg, args.q), args.record,
+        Variant(args.variant), cfg)
+    doc = report.to_dict()
     scale = _scale(args)
+    for key in ("d_pq", "d_qp", "d_p_post_q", "d_q_post_p"):
+        doc[key] *= scale
+    doc["units"] = u = args.units
+    record = {k: v for k, v in doc.items() if k != "tolerances"}
+    lines = [f"pair:       {doc['pair']}",
+             f"record:     {doc['record']}",
+             f"variant:    {doc['variant']}",
+             f"D(p||q):    {doc['d_pq']:.6g} {u}",
+             f"D(q||p):    {doc['d_qp']:.6g} {u}",
+             f"posterior side 1: {doc['d_p_post_q']:.6g} {u}",
+             f"posterior side 2: {doc['d_q_post_p']:.6g} {u}",
+             f"verdict:    {doc['verdict']}"]
+    return doc, [record], lines
 
-    def prior(label):
-        return make_prior(label, R=args.R, cfg=cfg)
 
-    if args.command == "priors":
-        rows = []
-        for label in PRIOR_LABELS:
-            R = args.R
-            if R is None:
-                R = 1.0 if label in ("sld", "km", "mc", "ld") \
-                    else DEFAULT_TRUNCATION_RADIUS
-            p = make_prior(label, R=R, cfg=cfg)
-            rows.append({"label": label, "support_radius": R,
-                         "normalization": p.normalization})
-        if args.format == "json":
-            print(json.dumps(rows))
-        elif args.format == "csv":
-            print("label,support_radius,normalization")
-            for r in rows:
-                print(f"{r['label']},{r['support_radius']!r},"
-                      f"{r['normalization']!r}")
-        else:
-            for r in rows:
-                print(f"{r['label']:>4}  R={r['support_radius']:<14g}"
-                      f"  c={r['normalization']:.6g}")
-        return 0
+def _gain(args, cfg):
+    value = infotheory.information_gain(_prior(args, cfg, args.p),
+                                        args.record, cfg)
+    return _scalar(args, "information_gain", value * _scale(args))
 
-    if args.command == "eval":
-        p = prior(args.p)
-        pt = BlochPoint(args.x, args.y, args.z)
-        _emit_scalar(args, "density", p.density_at(pt, args.convention))
-        return 0
 
-    if args.command == "kl":
-        value = infotheory.relative_entropy(prior(args.p), prior(args.q), cfg)
-        _emit_scalar(args, "relative_entropy", value * scale)
-        return 0
+def _sweep(args, cfg):
+    base = args.record if args.record.counts else parse_record("balanced6")
+    result = experiments.repeat_sweep(_prior(args, cfg, args.p),
+                                      _prior(args, cfg, args.q),
+                                      base, args.k_max, cfg)
+    stats = [v * _scale(args) for v in result.statistics]
+    doc = {"k_values": list(result.k_values), "statistics": stats,
+           "argmin_k": result.argmin_k, "units": args.units}
+    records = [{"k": k, "statistic": v}
+               for k, v in zip(result.k_values, stats)]
+    lines = [f"k={k}: {v:.6g} {args.units}"
+             + ("  <- min" if k == result.argmin_k else "")
+             for k, v in zip(result.k_values, stats)]
+    return doc, records, lines
 
-    if args.command == "compare":
-        variant = Variant.PAPER if args.variant == "paper" else Variant.CLARKE
-        report = infotheory.noninformativity_verdict(
-            prior(args.p), prior(args.q), args.record, variant, cfg)
-        doc = report.to_dict()
-        for key in ("d_pq", "d_qp", "d_p_post_q", "d_q_post_p"):
-            doc[key] *= scale
-        doc["units"] = args.units
-        if args.format == "json":
-            print(json.dumps(doc))
-        elif args.format == "csv":
-            keys = list(doc)
-            keys.remove("tolerances")
-            print(",".join(keys))
-            print(",".join(str(doc[k]) for k in keys))
-        else:
-            print(f"pair:       {doc['pair']}")
-            print(f"record:     {doc['record']}")
-            print(f"variant:    {doc['variant']}")
-            print(f"D(p||q):    {doc['d_pq']:.6g} {args.units}")
-            print(f"D(q||p):    {doc['d_qp']:.6g} {args.units}")
-            print(f"posterior side 1: {doc['d_p_post_q']:.6g} {args.units}")
-            print(f"posterior side 2: {doc['d_q_post_p']:.6g} {args.units}")
-            print(f"verdict:    {doc['verdict']}")
-        return 0
 
-    if args.command == "gain":
-        value = infotheory.information_gain(prior(args.p), args.record, cfg)
-        _emit_scalar(args, "information_gain", value * scale)
-        return 0
+def _search(args, cfg):
+    rec, value = experiments.search_min_record(
+        _prior(args, cfg, args.p), _prior(args, cfg, args.q), args.max_total,
+        constraint=args.constraint, objective=args.objective, cfg=cfg)
+    value *= _scale(args)
+    doc = {"record": rec.to_spec_string(), "value": value,
+           "units": args.units}
+    lines = [f"record: {doc['record']}",
+             f"value:  {value:.6g} {args.units}"]
+    return doc, [doc], lines
 
-    if args.command == "sweep":
-        base = args.record if args.record.counts else parse_record("balanced6")
-        result = experiments.repeat_sweep(prior(args.p), prior(args.q),
-                                          base, args.k_max, cfg)
-        stats = [v * scale for v in result.statistics]
-        if args.format == "json":
-            print(json.dumps({"k_values": list(result.k_values),
-                              "statistics": stats,
-                              "argmin_k": result.argmin_k,
-                              "units": args.units}))
-        elif args.format == "csv":
-            print("k,statistic")
-            for k, v in zip(result.k_values, stats):
-                print(f"{k},{v!r}")
-        else:
-            for k, v in zip(result.k_values, stats):
-                mark = "  <- min" if k == result.argmin_k else ""
-                print(f"k={k}: {v:.6g} {args.units}{mark}")
-        return 0
 
-    if args.command == "search":
-        rec, value = experiments.search_min_record(
-            prior(args.p), prior(args.q), args.max_total,
-            constraint=args.constraint, objective=args.objective, cfg=cfg)
-        value *= scale
-        if args.format == "json":
-            print(json.dumps({"record": rec.to_spec_string(),
-                              "value": value, "units": args.units}))
-        elif args.format == "csv":
-            print("record,value,units")
-            print(f"\"{rec.to_spec_string()}\",{value!r},{args.units}")
-        else:
-            print(f"record: {rec.to_spec_string()}")
-            print(f"value:  {value:.6g} {args.units}")
-        return 0
+def _reproduce(args, cfg):
+    rows = experiments.reproduce(args.table, cfg)
+    doc = [r.to_dict() for r in rows]
+    records = [{**d, "pass": str(d["pass"]).lower()} for d in doc]
+    lines = [f"{'pass' if r.passed else 'FAIL'}  {r.quantity_id:<32} "
+             f"published={r.paper_value:.6g} "
+             f"computed={r.computed_value:.6g} "
+             f"rel={r.rel_diff:.2e} [{r.tolerance_class}]" for r in rows]
+    return doc, records, lines
 
-    if args.command == "reproduce":
-        rows = experiments.reproduce(args.table, cfg)
-        if args.format == "json":
-            print(experiments.rows_to_json(rows))
-        elif args.format == "csv":
-            sys.stdout.write(experiments.rows_to_csv(rows))
-        else:
-            for r in rows:
-                status = "pass" if r.passed else "FAIL"
-                print(f"{status}  {r.quantity_id:<32} "
-                      f"published={r.paper_value:.6g} "
-                      f"computed={r.computed_value:.6g} "
-                      f"rel={r.rel_diff:.2e} [{r.tolerance_class}]")
-        return 0
 
-    raise AssertionError("unreachable")
+_COMMANDS = {"priors": _priors, "eval": _eval, "kl": _kl,
+             "compare": _compare, "gain": _gain, "sweep": _sweep,
+             "search": _search, "reproduce": _reproduce}
+
+
+def _emit(fmt: str, doc, records: list, lines: list) -> None:
+    """Print one command's result in the requested format."""
+    if fmt == "json":
+        print(json.dumps(doc))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(records[0])
+        writer.writerows(r.values() for r in records)
+    else:
+        print("\n".join(lines))
+
+
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _run(args)
+        _emit(args.format, *_COMMANDS[args.command](args, _cfg(args)))
     except BlochPriorsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

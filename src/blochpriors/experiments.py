@@ -28,12 +28,13 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from . import infotheory
-from .infotheory import (NATS_TO_BITS, PosteriorSide, Variant,
-                         crossover_radius, density_ratio_at, information_gain,
+from .infotheory import (NATS_TO_BITS, PosteriorSide, _posterior_vs_prior,
+                         _prior_vs_posterior, crossover_radius,
+                         density_ratio_at, information_gain,
                          relative_entropy, relative_entropy_vs_posterior,
                          variance_z)
-from .measurement import (MeasurementRecord, balanced_six, evidence,
-                          parse_record)
+from .measurement import (MeasurementRecord, _direction_grid, balanced_six,
+                          evidence, parse_record)
 from .priors import DEFAULT_TRUNCATION_RADIUS, PriorDensity, make_prior
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -81,7 +82,7 @@ class _RecordObjective:
     integrator.
     """
 
-    _N_S, _N_MU, _N_PHI = 160, 48, 96
+    _N_S = 160
 
     def __init__(self, p: PriorDensity, q: PriorDensity, objective: str,
                  cfg: QuadratureConfig):
@@ -100,15 +101,7 @@ class _RecordObjective:
         self.log_ratio = np.array(
             [p.log_radial_density_s(v) - q.log_radial_density_s(v) for v in s])
 
-        mu, wmu = np.polynomial.legendre.leggauss(self._N_MU)
-        phi = np.arange(self._N_PHI) * (2.0 * math.pi / self._N_PHI)
-        wang = wmu[:, None] * (2.0 * math.pi / self._N_PHI)
-        st = np.sqrt(1.0 - mu * mu)
-        dirs = {
-            "X": st[:, None] * np.cos(phi)[None, :],
-            "Y": st[:, None] * np.sin(phi)[None, :],
-            "Z": mu[:, None] * np.ones((1, self._N_PHI)),
-        }
+        dirs, wang, _ = _direction_grid()
         self.wang = wang[None, :, :]
         r3 = self.r[:, None, None]
         self.log_terms = {}
@@ -136,12 +129,12 @@ class _RecordObjective:
         if self.objective == "prior-vs-posterior":
             Zq = float((self.wq * ang).sum())
             N = sum(counts.values())
-            return self.d_pq - N * self.per_count_log + math.log(Zq)
+            return _prior_vs_posterior(self.d_pq, N * self.per_count_log, Zq)
         Zp = float((self.wp * ang).sum())
         e_ratio = float((self.wp * ang * self.log_ratio).sum())
         e_ll = float((self.wp * (self.wang * lik * log_lik)
                       .sum(axis=(1, 2))).sum())
-        return (e_ratio + e_ll) / Zp - math.log(Zp)
+        return _posterior_vs_prior(e_ratio + e_ll, Zp)
 
     def exact_value(self, rec: MeasurementRecord) -> float:
         if not rec.counts:
@@ -157,19 +150,34 @@ class _RecordObjective:
 _KEYS = tuple((a, s) for a in ("X", "Y", "Z") for s in ("+", "-"))
 
 
-def _enumerate_counts(max_total: int, constraint: str):
-    """Count vectors ordered lexicographically over (X+, X-, Y+, Y-, Z+, Z-)."""
+def _compositions(parts: int, budget: int):
+    """Every ``parts``-tuple of nonnegative integers summing to <= budget."""
+    if parts == 0:
+        yield ()
+        return
+    for first in range(budget + 1):
+        for rest in _compositions(parts - 1, budget - first):
+            yield (first,) + rest
+
+
+def _candidate_count(max_total: int, constraint: str) -> int:
+    """len(_enumerate_counts(max_total, constraint)), in closed form."""
     if constraint == "any":
-        vectors = [v for v in product(range(max_total + 1), repeat=6)
-                   if sum(v) <= max_total]
-    elif constraint == "balanced-axes":
-        vectors = []
-        for m in range(max_total // 3 + 1):
-            for ux, uy, uz in product(range(m + 1), repeat=3):
-                vectors.append((ux, m - ux, uy, m - uy, uz, m - uz))
-    else:
-        raise ValueError(f"unknown constraint {constraint!r}")
-    return sorted(set(vectors))
+        return math.comb(max_total + 6, 6)
+    if constraint == "balanced-axes":
+        return sum((m + 1) ** 3 for m in range(max_total // 3 + 1))
+    raise ValueError(f"unknown constraint {constraint!r}")
+
+
+def _enumerate_counts(max_total: int, constraint: str) -> list:
+    """Count vectors over (X+, X-, Y+, Y-, Z+, Z-) with total <= max_total."""
+    if constraint == "any":
+        return list(_compositions(6, max_total))
+    if constraint == "balanced-axes":
+        return [(ux, m - ux, uy, m - uy, uz, m - uz)
+                for m in range(max_total // 3 + 1)
+                for ux, uy, uz in product(range(m + 1), repeat=3)]
+    raise ValueError(f"unknown constraint {constraint!r}")
 
 
 def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
@@ -186,15 +194,18 @@ def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
     are broken toward smaller total count, then lexicographic order.
     Returns ``(record, value)``.
     """
+    if max_total < 0:
+        raise ValueError(f"max_total must be >= 0, got {max_total}")
     if max_total > 30:
         raise ValueError("enumeration bound is 30 total measurements")
     if objective not in ("posterior-vs-prior", "prior-vs-posterior"):
         raise ValueError(f"unknown objective {objective!r}")
     infotheory._check_common_support(p, q)
-    vectors = _enumerate_counts(max_total, constraint)
-    if len(vectors) > candidate_cap:
+    n = _candidate_count(max_total, constraint)
+    if n > candidate_cap:
         raise BudgetExceededError(
-            f"{len(vectors)} candidate records exceed the cap {candidate_cap}")
+            f"{n} candidate records exceed the cap {candidate_cap}")
+    vectors = _enumerate_counts(max_total, constraint)
     obj = _RecordObjective(p, q, objective, cfg)
     values = [obj.value(dict(zip(_KEYS, vec))) for vec in vectors]
     best_val = min(values)

@@ -170,6 +170,17 @@ def _expected_likelihood_log_likelihood(p: PriorDensity,
     return total
 
 
+def _prior_vs_posterior(d_pq: float, e_log_lik: float, Zq: float) -> float:
+    """D(p || Posterior(q)) = D(p || q) - E_p[log L] + log Z_q."""
+    return d_pq - e_log_lik + math.log(Zq)
+
+
+def _posterior_vs_prior(num: float, Zp: float) -> float:
+    """D(Posterior(p) || q) = num / Z_p - log Z_p, where num is
+    E_p[L log(p/q)] + E_p[L log L] (just E_p[L log L] when q = p)."""
+    return num / Zp - math.log(Zp)
+
+
 def relative_entropy_vs_posterior(p: PriorDensity, q: PriorDensity,
                                   rec: MeasurementRecord,
                                   side: PosteriorSide
@@ -180,13 +191,13 @@ def relative_entropy_vs_posterior(p: PriorDensity, q: PriorDensity,
     _check_common_support(p, q, force)
     if side is PosteriorSide.SECOND_IS_POSTERIOR:
         Zq = evidence(q, rec, cfg)
-        return (_relative_entropy_cached(p, q, cfg)
-                - _expected_log_likelihood(p, rec, cfg) + math.log(Zq))
+        return _prior_vs_posterior(_relative_entropy_cached(p, q, cfg),
+                                   _expected_log_likelihood(p, rec, cfg), Zq)
     if side is PosteriorSide.FIRST_IS_POSTERIOR:
         Zp = evidence(p, rec, cfg)
         num = (_expected_likelihood_log_ratio(p, q, rec, cfg)
                + _expected_likelihood_log_likelihood(p, rec, cfg))
-        return num / Zp - math.log(Zp)
+        return _posterior_vs_prior(num, Zp)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -196,7 +207,8 @@ def information_gain(p: PriorDensity, rec: MeasurementRecord,
     if not rec.counts:
         return 0.0
     Z = evidence(p, rec, cfg)
-    return _expected_likelihood_log_likelihood(p, rec, cfg) / Z - math.log(Z)
+    return _posterior_vs_prior(_expected_likelihood_log_likelihood(p, rec, cfg),
+                               Z)
 
 
 # --- the decision rule -------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "balanced_six",
     "parse_record",
     "likelihood",
-    "repeat",
     "PosteriorDensity",
     "posterior",
     "evidence",
@@ -86,17 +85,6 @@ class MeasurementRecord:
     def to_spec_string(self) -> str:
         return ",".join(f"{a}{s}:{n}" for a, s, n in self.counts) or "(empty)"
 
-    def log_likelihood_xyz(self, x, y, z):
-        """log likelihood on arrays of Cartesian components; -inf at zeros."""
-        comp = {"X": x, "Y": y, "Z": z}
-        out = np.zeros(np.broadcast(x, y, z).shape)
-        with np.errstate(divide="ignore"):
-            for a, s, n in self.counts:
-                v = comp[a]
-                term = np.log1p(v) if s == "+" else np.log1p(-v)
-                out = out + n * (term - math.log(2.0))
-        return out
-
     def likelihood_xyz(self, x, y, z):
         comp = {"X": x, "Y": y, "Z": z}
         out = np.ones(np.broadcast(x, y, z).shape)
@@ -143,10 +131,6 @@ def parse_record(text: str) -> MeasurementRecord:
 def likelihood(rec: MeasurementRecord, pt: BlochPoint) -> float:
     """Probability of the recorded outcomes for the state at ``pt``."""
     return float(rec.likelihood_xyz(pt.x, pt.y, pt.z))
-
-
-def repeat(rec: MeasurementRecord, k: int) -> MeasurementRecord:
-    return rec.repeat(k)
 
 
 # --- angular averaging -----------------------------------------------------
@@ -235,16 +219,8 @@ class PosteriorDensity:
     evidence: float
 
     @property
-    def normalization_factor(self) -> float:
-        return 1.0 / self.evidence
-
-    @property
     def support_radius(self) -> float:
         return self.prior.support_radius
-
-    def as_prior(self) -> "PosteriorDensity":
-        """Use this posterior as the prior of a further update."""
-        return self
 
     def spherical_density(self, r, theta, phi, omr2=None):
         base = self.prior.spherical_density(r, theta, phi, omr2)

@@ -175,12 +175,6 @@ class PriorDensity:
     profile: RadialProfile
     support_radius: float
     normalization: float
-    singularity_exponent: float
-
-    @property
-    def radial_profile(self):
-        """The bare radial factor g(r), unnormalized."""
-        return self.profile
 
     def _check_support(self, r):
         if np.any(np.asarray(r) > self.support_radius * (1.0 + 1e-12)):
@@ -224,8 +218,7 @@ def _make_prior_cached(kind: str, R: float,
     profile = _PROFILES[kind]
     integral = _radial_norm_integral(profile, R, cfg)
     c = 1.0 / (4.0 * math.pi * integral)
-    alpha = profile.boundary_power
-    return PriorDensity(kind, profile, R, c, alpha)
+    return PriorDensity(kind, profile, R, c)
 
 
 def make_prior(kind: str, R: Optional[float] = None,

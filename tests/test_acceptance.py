@@ -150,14 +150,14 @@ def test_criterion_5_property_suites():
     norm_ok = True
     for kind in PRIOR_LABELS:
         p = make_prior(kind)
-        cfg = QuadratureConfig(singularity_exponent=p.singularity_exponent)
+        cfg = QuadratureConfig(singularity_exponent=p.profile.boundary_power)
         val = integrate_ball(p.spherical_density, p.support_radius, cfg).value
         norm_ok &= abs(val - 1.0) <= 1e-7
     for kind, rec in (("sld", B6), ("km", parse_record("Z+:2,X-:1")),
                       ("p0", B6)):
         p = make_prior(kind)
         post = posterior(p, rec)
-        cfg = QuadratureConfig(singularity_exponent=p.singularity_exponent)
+        cfg = QuadratureConfig(singularity_exponent=p.profile.boundary_power)
         val = integrate_ball(post.spherical_density, p.support_radius,
                              cfg).value
         norm_ok &= abs(val - 1.0) <= 1e-7

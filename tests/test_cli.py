@@ -1,5 +1,7 @@
 """Command-line interface behavior and exit codes."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -134,3 +136,33 @@ def test_deterministic_output(capsys):
     doc_a.pop("evaluations")
     doc_b.pop("evaluations")
     assert doc_a == doc_b
+
+
+# one cheap invocation per subcommand; the compare record has several
+# tokens, so its commas must be quoted in CSV output
+EVERY_COMMAND = [
+    ["priors"],
+    ["eval", "--p", "ld", "--x", "0.1", "--z", "-0.2"],
+    ["kl", "--p", "sld", "--q", "km"],
+    ["compare", "--p", "km", "--q", "sld", "--record", "X+:1,Y-:2"],
+    ["gain", "--p", "km", "--record", "Z+:1"],
+    ["sweep", "--p", "km", "--q", "sld", "--record", "X+:1,Y-:1",
+     "--k-max", "2"],
+    ["search", "--p", "km", "--q", "sld", "--max-total", "3"],
+    ["reproduce", "--table", "s3"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_every_command_in_every_format(capsys, argv, fmt):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
+    else:
+        assert out.strip()

@@ -1,6 +1,8 @@
 """Sweeps, record search and the reproduction table."""
 
 import json
+import time
+from itertools import product
 
 import pytest
 
@@ -8,6 +10,7 @@ from blochpriors import (balanced_six, make_prior, parse_record,
                          relative_entropy, repeat_sweep, reproduce,
                          rows_to_csv, rows_to_json, search_min_record)
 from blochpriors.errors import BudgetExceededError
+from blochpriors.experiments import _candidate_count, _enumerate_counts
 
 B6 = balanced_six()
 
@@ -79,12 +82,36 @@ def test_search_validation_and_budget():
     p, q = make_prior("km"), make_prior("sld")
     with pytest.raises(ValueError):
         search_min_record(p, q, 31)
+    with pytest.raises(ValueError, match="max_total"):
+        search_min_record(p, q, -1)
     with pytest.raises(ValueError):
         search_min_record(p, q, 6, constraint="weird")
     with pytest.raises(ValueError):
         search_min_record(p, q, 6, objective="weird")
     with pytest.raises(BudgetExceededError):
         search_min_record(p, q, 6, "any", candidate_cap=10)
+
+
+def test_search_budget_checked_before_enumeration():
+    # C(36, 6) = 1947792 candidates: the cap must trip before any is built
+    p, q = make_prior("km"), make_prior("sld")
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        search_min_record(p, q, 30, "any")
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("constraint", ["any", "balanced-axes"])
+@pytest.mark.parametrize("max_total", range(7))
+def test_enumeration_matches_product_filter(constraint, max_total):
+    want = {v for v in product(range(max_total + 1), repeat=6)
+            if sum(v) <= max_total and (constraint == "any"
+                                        or v[0] + v[1] == v[2] + v[3]
+                                        == v[4] + v[5])}
+    got = _enumerate_counts(max_total, constraint)
+    assert len(got) == _candidate_count(max_total, constraint)
+    assert set(got) == want
+    assert len(got) == len(want)
 
 
 def test_search_deterministic():

@@ -7,7 +7,7 @@ import pytest
 
 from blochpriors import (BlochPoint, MeasurementRecord, balanced_six,
                          evidence, likelihood, make_prior, parse_record,
-                         posterior, repeat)
+                         posterior)
 from blochpriors.errors import ZeroEvidenceError
 
 
@@ -46,12 +46,12 @@ def test_record_round_trip():
 
 def test_repeat_and_add():
     b6 = balanced_six()
-    assert repeat(b6, 3) == balanced_six(3)
+    assert b6.repeat(3) == balanced_six(3)
     assert b6 + b6 == balanced_six(2)
     assert parse_record("X+:1") + parse_record("X+:1,Y-:1") \
         == parse_record("X+:2,Y-:1")
     with pytest.raises(ValueError):
-        repeat(b6, 0)
+        b6.repeat(0)
 
 
 def test_likelihood_pointwise():
@@ -105,7 +105,7 @@ def test_posterior_pointwise_factorization():
 def test_posterior_chain_coherence():
     p = make_prior("sld")
     r1, r2 = parse_record("X+:1"), parse_record("Z-:2,Y+:1")
-    chained = posterior(posterior(p, r1).as_prior(), r2)
+    chained = posterior(posterior(p, r1), r2)
     direct = posterior(p, r1 + r2)
     assert chained.record == direct.record
     assert chained.evidence == pytest.approx(direct.evidence, rel=1e-12)

@@ -103,7 +103,7 @@ def test_unknown_label_and_bad_radius():
 @pytest.mark.parametrize("kind", PRIOR_LABELS)
 def test_prior_integrates_to_one(kind):
     p = make_prior(kind)
-    cfg = QuadratureConfig(singularity_exponent=p.singularity_exponent)
+    cfg = QuadratureConfig(singularity_exponent=p.profile.boundary_power)
     res = integrate_ball(p.spherical_density, p.support_radius, cfg)
     assert res.value == pytest.approx(1.0, abs=1e-7)
 
