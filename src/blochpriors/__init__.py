@@ -24,8 +24,7 @@ from .infotheory import (NATS_TO_BITS, ComparisonReport, PosteriorSide,
                          relative_entropy, relative_entropy_vs_posterior,
                          variance_z)
 from .experiments import (ReproductionRow, SweepResult, repeat_sweep,
-                          reproduce, rows_to_csv, rows_to_json,
-                          search_min_record)
+                          reproduce, search_min_record)
 
 __version__ = "1.0.0"
 
@@ -48,5 +47,5 @@ __all__ = [
     "density_ratio_at", "information_gain", "noninformativity_verdict",
     "relative_entropy", "relative_entropy_vs_posterior", "variance_z",
     "ReproductionRow", "SweepResult", "repeat_sweep", "reproduce",
-    "rows_to_csv", "rows_to_json", "search_min_record",
+    "search_min_record",
 ]

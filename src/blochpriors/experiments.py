@@ -17,9 +17,6 @@ prior).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -44,8 +41,6 @@ __all__ = [
     "search_min_record",
     "ReproductionRow",
     "reproduce",
-    "rows_to_csv",
-    "rows_to_json",
 ]
 
 _TOLERANCES = {"exact-rational": 1e-9, "six-digit": 1e-3, "four-digit": 5e-3}
@@ -101,7 +96,7 @@ class _RecordObjective:
         self.log_ratio = np.array(
             [p.log_radial_density_s(v) - q.log_radial_density_s(v) for v in s])
 
-        dirs, wang, _ = _direction_grid()
+        dirs, wang = _direction_grid()
         self.wang = wang[None, :, :]
         r3 = self.r[:, None, None]
         self.log_terms = {}
@@ -425,19 +420,3 @@ def reproduce(table: str = "all",
     rows.sort(key=lambda r: r.quantity_id)
     return rows
 
-
-def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quantity_id", "paper_value", "computed",
-                     "abs_diff", "rel_diff", "class", "pass"])
-    for r in rows:
-        writer.writerow([r.quantity_id, repr(r.paper_value),
-                         repr(r.computed_value), repr(r.abs_diff),
-                         repr(r.rel_diff), r.tolerance_class,
-                         str(r.passed).lower()])
-    return buf.getvalue()
-
-
-def rows_to_json(rows, **kw) -> str:
-    return json.dumps([r.to_dict() for r in rows], **kw)

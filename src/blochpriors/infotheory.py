@@ -11,8 +11,10 @@ one-dimensional radial integral:
 * information gain D(Posterior(p) || p) = E_p[L log L] / Z_p - log Z_p,
 
 with L the likelihood, Z the evidence and E_p[.] the prior expectation.
-The angular parts of the expectations are handled by the exact tensor
-rules in :mod:`measurement`.
+The angular parts of the expectations come from :mod:`measurement`, at each
+radial node, by rules sized to the record: the sphere integral of L is exact
+for every record, and that of L log((1 +/- s_axis)/2), summed into
+E_p[L log L], is good to ~1e-12 relative.
 """
 
 from __future__ import annotations

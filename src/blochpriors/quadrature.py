@@ -11,8 +11,12 @@ this package behave like ``(1 - r^2)**alpha`` with ``alpha`` as low as
   ``[0, S]`` and, crucially, lets ``1 - r^2`` be computed without
   cancellation even within ``1e-10`` of the boundary.
 
-Angular integration uses a tensor rule (Gauss-Legendre in ``mu = cos(theta)``,
-periodic trapezoid in ``phi``) refined by doubling until the result is stable.
+The statistics' angular integrals are done at each radial node by the
+record-sized rules in :mod:`measurement`, which take their Gauss-Legendre
+nodes from :func:`_gauss`.  :func:`integrate_ball` keeps its own tensor rule
+(Gauss-Legendre in ``mu = cos(theta)``, periodic trapezoid in ``phi``),
+refined by doubling until the result is stable; only the tests use it, as a
+reference for densities given pointwise.
 
 Integrands may optionally accept a keyword argument ``omr2`` carrying a
 cancellation-free value of ``1 - r^2``; integrands that need full accuracy

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from blochpriors import reproduce
 from blochpriors.cli import main
 
 
@@ -95,6 +96,22 @@ def test_reproduce_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("quantity_id,paper_value,computed")
     assert len(lines) - 1 >= 45
+
+
+def test_csv_and_json_emitters(capsys):
+    rows = reproduce("s3")
+    code, out, _ = run(capsys, "reproduce", "--table", "s3", "--format", "csv")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "quantity_id,paper_value,computed,abs_diff,rel_diff,class,pass"
+    assert len(lines) == len(rows) + 1
+    code, out, _ = run(capsys, "reproduce", "--table", "s3",
+                       "--format", "json")
+    assert code == 0
+    parsed = json.loads(out)
+    assert len(parsed) == len(rows)
+    assert {"quantity_id", "paper_value", "computed", "abs_diff",
+            "rel_diff", "class", "pass"} <= set(parsed[0])
 
 
 def test_priors_listing(capsys):

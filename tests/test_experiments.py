@@ -1,6 +1,5 @@
 """Sweeps, record search and the reproduction table."""
 
-import json
 import time
 from itertools import product
 
@@ -8,7 +7,7 @@ import pytest
 
 from blochpriors import (balanced_six, make_prior, parse_record,
                          relative_entropy, repeat_sweep, reproduce,
-                         rows_to_csv, rows_to_json, search_min_record)
+                         search_min_record)
 from blochpriors.errors import BudgetExceededError
 from blochpriors.experiments import _candidate_count, _enumerate_counts
 
@@ -155,14 +154,3 @@ def test_reproduce_spot_values():
     assert rows["z.sld.balanced6"].tolerance_class == "exact-rational"
     assert rows["z.sld.balanced6"].passed
 
-
-def test_csv_and_json_emitters():
-    rows = reproduce("s3")
-    csv_text = rows_to_csv(rows)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "quantity_id,paper_value,computed,abs_diff,rel_diff,class,pass"
-    assert len(lines) == len(rows) + 1
-    parsed = json.loads(rows_to_json(rows))
-    assert len(parsed) == len(rows)
-    assert {"quantity_id", "paper_value", "computed", "abs_diff",
-            "rel_diff", "class", "pass"} <= set(parsed[0])

@@ -1,14 +1,21 @@
 """Records, likelihoods, evidences and posteriors."""
 
 import math
+from collections import Counter
 from itertools import permutations, product
 
+import mpmath
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from blochpriors import (BlochPoint, MeasurementRecord, balanced_six,
                          evidence, likelihood, make_prior, parse_record,
                          posterior)
 from blochpriors.errors import ZeroEvidenceError
+from blochpriors.measurement import (AXES, angular_likelihood_integral,
+                                     angular_likelihood_log_term)
+from oracles import sphere_mean_record_likelihood, sphere_mean_record_log_term
 
 
 def test_parse_tokens():
@@ -130,3 +137,77 @@ def test_posterior_symmetry_for_balanced_record():
 def test_zero_evidence_raises():
     with pytest.raises(ZeroEvidenceError):
         posterior(make_prior("sld"), balanced_six(220))
+
+
+# the six record shapes of the benchmark's clarke-verdicts cycle (totals 1 to
+# 81), and balanced6
+ORACLE_RECORDS = ("X+:1", "X+:3,X-:2,Y+:7,Y-:2,Z+:1,Z-:8", "X+:32,Z+:13",
+                  "X+:8,X-:7,Y+:3,Y-:9,Z+:25", "X-:58,Y-:3,Z+:13",
+                  "X-:12,Y+:18,Z+:46,Z-:5", "balanced6")
+
+
+@pytest.mark.parametrize("r", (0.3, 0.9, 1.0 - 1e-10, 1.0))
+@pytest.mark.parametrize("spec", ORACLE_RECORDS)
+def test_angular_kernels_match_oracle(spec, r):
+    """Both angular kernels against the 30-digit oracle, the log term for
+    every outcome of the record."""
+    rec = parse_record(spec)
+    counts = {(a, s): n for a, s, n in rec.counts}
+    want = 4.0 * math.pi * float(sphere_mean_record_likelihood(counts, r))
+    assert angular_likelihood_integral(rec, r) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+    for axis, sign, _ in rec.counts:
+        want = float(4 * mpmath.pi
+                     * sphere_mean_record_log_term(counts, r, axis, sign))
+        assert angular_likelihood_log_term(rec, r, axis, sign) \
+            == pytest.approx(want, rel=1e-12, abs=0.0), (axis, sign)
+
+
+def test_log_term_closed_form():
+    # over the unit sphere, (1 + x)/2 log((1 + x)/2) integrates to -pi
+    assert angular_likelihood_log_term(parse_record("X+:1"), 1.0, "X", "+") \
+        == pytest.approx(-math.pi, rel=1e-12, abs=0.0)
+
+
+def test_likelihood_integral_closed_form():
+    # ((1 - mu^2)/4)^150 integrates over mu to 4^-150 B(1/2, 151)
+    # = 2 (150!)^2 / 301!; its degree, 300, is past any fixed 48-node rule
+    want = 2.0 * math.pi * (2 * math.factorial(150) ** 2
+                            / math.factorial(301))
+    assert angular_likelihood_integral(parse_record("Z+:150,Z-:150"), 1.0) \
+        == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert angular_likelihood_integral(MeasurementRecord(()), 0.7) \
+        == 4.0 * math.pi
+
+
+_OUTCOMES = tuple((a, s) for a in AXES for s in "+-")
+_FLIP = {"+": "-", "-": "+"}
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(outcomes=st.lists(st.sampled_from(_OUTCOMES), min_size=1,
+                         max_size=40),
+       r=st.floats(0.05, 1.0), pick=st.integers(0, 5))
+def test_angular_kernels_invariant_under_signed_axis_permutations(
+        outcomes, r, pick):
+    """A signed permutation of the axes is a rotation or reflection, so
+    neither kernel may change; the kernels turn different axes onto the
+    polar axis for different images of the same record."""
+    counts = Counter(outcomes)
+    rec = MeasurementRecord.from_counts(counts)
+    axis, sign, _ = rec.counts[pick % len(rec.counts)]
+    integral = angular_likelihood_integral(rec, r)
+    log_term = angular_likelihood_log_term(rec, r, axis, sign)
+    for perm in permutations(AXES):
+        for flips in product((False, True), repeat=3):
+            def image(a, s):
+                i = AXES.index(a)
+                return perm[i], _FLIP[s] if flips[i] else s
+
+            moved = MeasurementRecord.from_counts(
+                {image(a, s): n for (a, s), n in counts.items()})
+            assert angular_likelihood_integral(moved, r) == pytest.approx(
+                integral, rel=1e-13, abs=0.0)
+            assert angular_likelihood_log_term(moved, r, *image(axis, sign)) \
+                == pytest.approx(log_term, rel=1e-13, abs=0.0)

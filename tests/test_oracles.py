@@ -7,7 +7,8 @@ import pytest
 
 from blochpriors import reproduce
 from oracles import (ERRATA, sphere_mean_likelihood,
-                     sphere_mean_log_likelihood, truncated_balanced6)
+                     sphere_mean_log_likelihood, sphere_mean_record_likelihood,
+                     sphere_mean_record_log_term, truncated_balanced6)
 
 
 def _sphere_mean(f, r):
@@ -32,6 +33,35 @@ def test_sphere_averages_of_balanced6_likelihood(r):
         assert _sphere_mean(lambda x, y, z: mpmath.log(likelihood(x, y, z)),
                             r) == pytest.approx(
             sphere_mean_log_likelihood(s), rel=1e-12)
+
+
+@pytest.mark.parametrize("r", ["0.3", "0.9"])
+def test_record_averages_against_sphere_quadrature(r):
+    """The moment-based record averages against plain 2-D quadrature, on
+    balanced6 (whose likelihood average has a closed form) and on a record
+    with counts on every axis."""
+    b6 = {(a, s): 1 for a in "XYZ" for s in "+-"}
+    counts = {("X", "+"): 3, ("Y", "-"): 2, ("Z", "+"): 1, ("Z", "-"): 2}
+
+    def likelihood(x, y, z):
+        v = {"X": x, "Y": y, "Z": z}
+        return mpmath.fprod(((1 + v[a]) / 2 if s == "+" else (1 - v[a]) / 2)
+                            ** n for (a, s), n in counts.items())
+
+    r = float(r)
+    with mpmath.workdps(15):
+        assert float(sphere_mean_record_likelihood(b6, r)) == pytest.approx(
+            float(sphere_mean_likelihood(mpmath.mpf(r))), rel=1e-14)
+        assert float(sphere_mean_record_likelihood(counts, r)) \
+            == pytest.approx(float(_sphere_mean(likelihood, r)), rel=1e-12)
+        for axis, sign in counts:
+            def log_term(x, y, z, axis=axis, sign=sign):
+                v = {"X": x, "Y": y, "Z": z}[axis]
+                half = (1 + v) / 2 if sign == "+" else (1 - v) / 2
+                return likelihood(x, y, z) * mpmath.log(half)
+
+            assert float(sphere_mean_record_log_term(counts, r, axis, sign)) \
+                == pytest.approx(float(_sphere_mean(log_term, r)), rel=1e-12)
 
 
 def test_truncated_oracle_rounds_to_published_values():
