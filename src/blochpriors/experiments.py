@@ -1,5 +1,10 @@
 """Reproduction table, repeat sweeps and small measurement-set search.
 
+The search enumerates count vectors, evaluates its objective once per orbit
+of the 48 signed axis permutations with the record-sized angular kernels of
+:mod:`measurement` on a fixed radial rule, and recomputes the winner's value
+with the adaptive integrator of :mod:`infotheory`.
+
 The reproduction table recomputes every published figure this package
 models and reports pass/fail per row against a tolerance class:
 
@@ -30,8 +35,9 @@ from .infotheory import (NATS_TO_BITS, PosteriorSide, _posterior_vs_prior,
                          density_ratio_at, information_gain,
                          relative_entropy, relative_entropy_vs_posterior,
                          variance_z)
-from .measurement import (MeasurementRecord, _direction_grid, balanced_six,
-                          evidence, parse_record)
+from .measurement import (MeasurementRecord, angular_likelihood_integral,
+                          angular_likelihood_log_term, balanced_six, evidence,
+                          parse_record)
 from .priors import DEFAULT_TRUNCATION_RADIUS, PriorDensity, make_prior
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -66,15 +72,18 @@ def repeat_sweep(p: PriorDensity, q: PriorDensity, base: MeasurementRecord,
     return SweepResult(ks, stats, ks[int(np.argmin(stats))])
 
 
-# --- fast fixed-grid objective for record enumeration ------------------------
+# --- record-sized objective for record enumeration -------------------------
 
 class _RecordObjective:
     """Evaluates one divergence objective over many candidate records.
 
-    All radial and angular nodes are precomputed once; each record then
-    costs a handful of vectorized array operations.  Used only to *rank*
-    candidates; the winner's value is recomputed with the adaptive
-    integrator.
+    The radial rule, 160 Gauss-Legendre nodes in s, and its prior weights
+    are built once; each record then costs one call of each record-sized
+    angular kernel of :mod:`measurement` (and one log term per outcome for
+    posterior-vs-prior) on all 160 radii at once.  The angular part is
+    exact or good to ~1e-12, as in the adaptive statistics; the fixed
+    radial rule serves only to *rank* candidates, and the winner's value is
+    recomputed with the adaptive integrator.
     """
 
     _N_S = 160
@@ -95,41 +104,24 @@ class _RecordObjective:
         self.wq = q.normalization * gq * jac * gw
         self.log_ratio = np.array(
             [p.log_radial_density_s(v) - q.log_radial_density_s(v) for v in s])
-
-        dirs, wang = _direction_grid()
-        self.wang = wang[None, :, :]
-        r3 = self.r[:, None, None]
-        self.log_terms = {}
-        for a in ("X", "Y", "Z"):
-            d = dirs[a][None, :, :]
-            self.log_terms[(a, "+")] = np.log1p(r3 * d) - math.log(2.0)
-            self.log_terms[(a, "-")] = np.log1p(-r3 * d) - math.log(2.0)
-
         self.d_pq = relative_entropy(p, q, cfg)
-        # mean log-likelihood contribution of a single measurement under p
-        self.per_count_log = (
-            infotheory._expected_log_likelihood(
-                p, MeasurementRecord((("Z", "+", 1),)), cfg))
+        # E_p[log L] of a single measurement; a record's is its total times it
+        self.per_count_log = (2.0 * math.pi * p.normalization
+                              * infotheory._log_likelihood_radial_integral(
+                                  p, cfg))
 
-    def value(self, counts: dict) -> float:
-        if not any(counts.values()):
+    def value(self, rec: MeasurementRecord) -> float:
+        if not rec.counts:
             return self.d_pq
-        log_lik = None
-        for key, n in counts.items():
-            if n:
-                term = n * self.log_terms[key]
-                log_lik = term if log_lik is None else log_lik + term
-        lik = np.exp(log_lik)
-        ang = (self.wang * lik).sum(axis=(1, 2))
+        A = angular_likelihood_integral(rec, self.r)
         if self.objective == "prior-vs-posterior":
-            Zq = float((self.wq * ang).sum())
-            N = sum(counts.values())
-            return _prior_vs_posterior(self.d_pq, N * self.per_count_log, Zq)
-        Zp = float((self.wp * ang).sum())
-        e_ratio = float((self.wp * ang * self.log_ratio).sum())
-        e_ll = float((self.wp * (self.wang * lik * log_lik)
-                      .sum(axis=(1, 2))).sum())
-        return _posterior_vs_prior(e_ratio + e_ll, Zp)
+            return _prior_vs_posterior(
+                self.d_pq, rec.total * self.per_count_log, float(self.wq @ A))
+        wA = self.wp * A
+        e_ll = sum(n * float(self.wp @ angular_likelihood_log_term(
+            rec, self.r, axis, sign)) for axis, sign, n in rec.counts)
+        return _posterior_vs_prior(float(wA @ self.log_ratio) + e_ll,
+                                   float(wA.sum()))
 
     def exact_value(self, rec: MeasurementRecord) -> float:
         if not rec.counts:
@@ -175,6 +167,18 @@ def _enumerate_counts(max_total: int, constraint: str) -> list:
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
+def _orbit_key(vec: tuple) -> tuple:
+    """The same key for two count vectors exactly when one of the 48 signed
+    axis permutations maps one onto the other: each axis's (up, down) pair
+    sorted, then the three pairs sorted."""
+    return tuple(sorted(tuple(sorted(vec[i:i + 2])) for i in (0, 2, 4)))
+
+
+def _record(vec: tuple) -> MeasurementRecord:
+    return MeasurementRecord.from_counts(
+        {k: n for k, n in zip(_KEYS, vec) if n})
+
+
 def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
                       constraint: str = "balanced-axes",
                       objective: str = "posterior-vs-prior",
@@ -185,9 +189,17 @@ def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
     ``objective`` selects D(Posterior(p, rec) || q) ("posterior-vs-prior",
     default) or D(p || Posterior(q, rec)) ("prior-vs-posterior").  Records
     with total count up to ``max_total`` are enumerated exhaustively;
-    ``constraint="balanced-axes"`` keeps the per-axis totals equal.  Ties
-    are broken toward smaller total count, then lexicographic order.
-    Returns ``(record, value)``.
+    ``constraint="balanced-axes"`` keeps the per-axis totals equal.
+    ``candidate_cap`` bounds the number of records.
+
+    Both priors are spherically symmetric, so records related by one of the
+    48 signed axis permutations share the objective: it is evaluated once
+    per orbit, with the record-sized angular kernels on a fixed radial rule
+    (:class:`_RecordObjective`), and every member takes that value.  Ties
+    are broken over all records toward smaller total count, then
+    lexicographic order, so the winner is its orbit's canonical member; its
+    value is recomputed with the adaptive integrator.  Returns
+    ``(record, value)``.
     """
     if max_total < 0:
         raise ValueError(f"max_total must be >= 0, got {max_total}")
@@ -202,15 +214,18 @@ def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
             f"{n} candidate records exceed the cap {candidate_cap}")
     vectors = _enumerate_counts(max_total, constraint)
     obj = _RecordObjective(p, q, objective, cfg)
-    values = [obj.value(dict(zip(_KEYS, vec))) for vec in vectors]
-    best_val = min(values)
-    # ties within grid tolerance break toward smaller total, then lexicographic
+    keys = [_orbit_key(vec) for vec in vectors]
+    orbit_values = {}
+    for key, vec in zip(keys, vectors):
+        if key not in orbit_values:
+            orbit_values[key] = obj.value(_record(vec))
+    best_val = min(orbit_values.values())
+    # ties within the ranker's tolerance break toward smaller total, then
+    # lexicographic
     tol = 1e-10 + 1e-9 * abs(best_val)
-    near = sorted((sum(v), v) for v, val in zip(vectors, values)
-                  if abs(val - best_val) <= tol)
-    vec = near[0][1]
-    rec = MeasurementRecord.from_counts(
-        {k: n for k, n in zip(_KEYS, vec) if n})
+    near = sorted((sum(v), v) for v, key in zip(vectors, keys)
+                  if abs(orbit_values[key] - best_val) <= tol)
+    rec = _record(near[0][1])
     return rec, obj.exact_value(rec)
 
 

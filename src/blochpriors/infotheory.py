@@ -111,14 +111,12 @@ def relative_entropy(p: PriorDensity, q: PriorDensity,
     return _relative_entropy_cached(p, q, cfg)
 
 
-@lru_cache(maxsize=1024)
-def _expected_log_likelihood(p: PriorDensity, rec: MeasurementRecord,
-                             cfg: QuadratureConfig) -> float:
-    """E_p[log L].  By spherical symmetry every single measurement
-    contributes the same expectation, computed along the polar axis."""
-    total = rec.total
-    if total == 0:
-        return 0.0
+@lru_cache(maxsize=64)
+def _log_likelihood_radial_integral(p: PriorDensity,
+                                    cfg: QuadratureConfig) -> float:
+    """Int g_p(s) T(r(s)) ds, with T(r) the integral over mu of the log
+    probability of one outcome along the polar axis.  It does not depend on
+    the record: E_p[log L] of a single measurement is 2*pi*c_p times it."""
 
     def w(s):
         # T(r) = Int_{-1}^{1} log((1 + r*mu)/2) dmu, written without
@@ -136,6 +134,18 @@ def _expected_log_likelihood(p: PriorDensity, rec: MeasurementRecord,
         return p.profile.value_s(s) * T
 
     value, _, _ = quad_s(w, p.support_radius, cfg)
+    return value
+
+
+@lru_cache(maxsize=1024)
+def _expected_log_likelihood(p: PriorDensity, rec: MeasurementRecord,
+                             cfg: QuadratureConfig) -> float:
+    """E_p[log L].  By spherical symmetry every single measurement
+    contributes the same expectation, computed along the polar axis."""
+    total = rec.total
+    if total == 0:
+        return 0.0
+    value = _log_likelihood_radial_integral(p, cfg)
     return total * 2.0 * math.pi * p.normalization * value
 
 

@@ -33,8 +33,7 @@ __all__ = [
 AXES = ("X", "Y", "Z")
 _SIGNS = ("+", "-")
 
-# fixed 48x96 direction grid of the search ranker in experiments; exact for
-# likelihoods up to total count 95
+# size of the fixed direction grid of _direction_grid
 _N_MU, _N_PHI = 48, 96
 
 # Gauss-Legendre nodes the log term adds to the record's own floor(N/2): they
@@ -139,6 +138,7 @@ def likelihood(rec: MeasurementRecord, pt: BlochPoint) -> float:
 
 # --- angular averaging -----------------------------------------------------
 
+# no caller since search ranks on the kernels below; perfbench traces its cache
 @lru_cache(maxsize=1)
 def _direction_grid():
     mu, w_mu = np.polynomial.legendre.leggauss(_N_MU)
@@ -166,7 +166,8 @@ def _swap_onto_z(rec: MeasurementRecord, axis: str) -> dict:
 
 
 def _phi_integral(counts: dict, rho):
-    """Integral over phi of the X and Y factors at in-plane radii ``rho``.
+    """Integral over phi of the X and Y factors at in-plane radii ``rho``,
+    an array of any shape.
 
     Those factors form a trigonometric polynomial in phi of degree N_xy, the
     X and Y count, so N_xy + 1 equispaced nodes integrate them exactly.
@@ -174,38 +175,52 @@ def _phi_integral(counts: dict, rho):
     m = 1 + sum(n for (a, _), n in counts.items() if a != "Z")
     phi = np.arange(m) * (2.0 * math.pi / m)
     comp = {"X": np.cos(phi), "Y": np.sin(phi)}
-    vals = np.ones((rho.size, m))
+    vals = np.ones(rho.shape + (m,))
     for (a, s), n in counts.items():
         if a != "Z":
-            vals *= _outcome_factor(rho[:, None] * comp[a], s, n)
-    return vals.sum(axis=1) * (2.0 * math.pi / m)
+            vals *= _outcome_factor(rho[..., None] * comp[a], s, n)
+    return vals.sum(axis=-1) * (2.0 * math.pi / m)
 
 
-def angular_likelihood_integral(rec: MeasurementRecord, r: float) -> float:
+def _radii(r):
+    """A 1-D array of radii as a column against the mu nodes.  A scalar stays
+    a scalar, so that a scalar call keeps to 1-D arrays."""
+    return r[:, None] if getattr(r, "ndim", 0) else r
+
+
+def _result(values):
+    """A Python float from a scalar call, the array from an array call."""
+    return float(values) if values.ndim == 0 else values
+
+
+def angular_likelihood_integral(rec: MeasurementRecord, r):
     """Integral over d(mu) d(phi) of the likelihood at fixed radius.
 
-    Exact to roundoff for every record.  The axis with the most counts is
-    turned onto the polar axis and the phi integral is taken exactly (see
-    :func:`_phi_integral`); what remains is a polynomial of degree N, the
-    record total, in mu, which floor(N/2) + 1 Gauss-Legendre nodes
-    integrate exactly.
+    ``r`` is a scalar, giving a float, or a 1-D array of radii, giving an
+    array.  Exact to roundoff for every record.  The axis with the most
+    counts is turned onto the polar axis and the phi integral is taken
+    exactly (see :func:`_phi_integral`); what remains is a polynomial of
+    degree N, the record total, in mu, which floor(N/2) + 1 Gauss-Legendre
+    nodes integrate exactly.
     """
     counts = _swap_onto_z(rec, max(
         AXES, key=lambda a: rec.count(a, "+") + rec.count(a, "-")))
     mu, w = _gauss(rec.total // 2 + 1)
+    r = _radii(r)
     lik = _phi_integral(counts, r * np.sqrt((1.0 - mu) * (1.0 + mu)))
     for (a, s), n in counts.items():
         if a == "Z":
             lik = lik * _outcome_factor(r * mu, s, n)
-    return float(w @ lik)
+    return _result(lik @ w)
 
 
-def angular_likelihood_log_term(rec: MeasurementRecord, r: float,
-                                axis: str, sign: str) -> float:
+def angular_likelihood_log_term(rec: MeasurementRecord, r,
+                                axis: str, sign: str):
     """Integral over d(mu) d(phi) of likelihood * log((1 + sign*s_axis)/2).
 
-    ``axis`` is turned onto the polar axis and the phi integral is taken
-    exactly, as in :func:`angular_likelihood_integral`.  In mu the
+    ``r`` is a scalar or a 1-D array of radii, as in
+    :func:`angular_likelihood_integral`.  ``axis`` is turned onto the polar
+    axis and the phi integral is taken exactly, as there.  In mu the
     substitution (1 + sign*mu)/2 = t^2 turns the log's endpoint into a
     t^(2n+1) log t factor, n >= 1 being the count of the outcome when the
     record holds it.  Gauss-Legendre in t on [0, 1] with floor(N/2) + 80
@@ -214,6 +229,7 @@ def angular_likelihood_log_term(rec: MeasurementRecord, r: float,
     """
     counts = _swap_onto_z(rec, axis)
     x, w = _gauss(rec.total // 2 + _LOG_EXTRA_NODES)
+    r = _radii(r)
     t = 0.5 * (1.0 + x)
     omt2 = 0.25 * (1.0 - x) * (3.0 + x)             # 1 - t^2
     # (1 + sign*r*mu)/2 and (1 - sign*r*mu)/2, with sign*mu = 2t^2 - 1
@@ -224,7 +240,7 @@ def angular_likelihood_log_term(rec: MeasurementRecord, r: float,
         if a == "Z":
             lik = lik * (near if s == sign else far) ** n
     # d(mu) = 4t dt, and w/2 are the Gauss weights on [0, 1]
-    return float((2.0 * w * t) @ (lik * np.log(near)))
+    return _result((lik * np.log(near)) @ (2.0 * w * t))
 
 
 # --- posteriors ------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Sweeps, record search and the reproduction table."""
 
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from blochpriors import (balanced_six, make_prior, parse_record,
-                         relative_entropy, repeat_sweep, reproduce,
-                         search_min_record)
+from blochpriors import (QuadratureConfig, balanced_six, make_prior,
+                         parse_record, relative_entropy, repeat_sweep,
+                         reproduce, search_min_record)
 from blochpriors.errors import BudgetExceededError
-from blochpriors.experiments import _candidate_count, _enumerate_counts
+from blochpriors.experiments import (_candidate_count, _enumerate_counts,
+                                     _orbit_key, _record, _RecordObjective)
 
 B6 = balanced_six()
 
@@ -111,6 +112,61 @@ def test_enumeration_matches_product_filter(constraint, max_total):
     assert len(got) == _candidate_count(max_total, constraint)
     assert set(got) == want
     assert len(got) == len(want)
+
+
+def _signed_permutation_images(vec):
+    """The images of a count vector under the 48 signed axis permutations."""
+    pairs = [vec[i:i + 2] for i in (0, 2, 4)]
+    images = set()
+    for perm in permutations(range(3)):
+        for flips in product((False, True), repeat=3):
+            moved = [None] * 3
+            for i, j in enumerate(perm):
+                moved[j] = pairs[i][::-1] if flips[i] else pairs[i]
+            images.add(tuple(n for pair in moved for n in pair))
+    return frozenset(images)
+
+
+@pytest.mark.parametrize("constraint", ["any", "balanced-axes"])
+@pytest.mark.parametrize("max_total", range(7))
+def test_orbit_key_classes_are_signed_permutation_orbits(constraint,
+                                                         max_total):
+    vectors = _enumerate_counts(max_total, constraint)
+    classes = {}
+    for vec in vectors:
+        classes.setdefault(_orbit_key(vec), set()).add(vec)
+    orbits = {_signed_permutation_images(vec) for vec in vectors}
+    assert {frozenset(c) for c in classes.values()} == orbits
+
+
+TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
+
+
+@pytest.mark.parametrize("objective",
+                         ["posterior-vs-prior", "prior-vs-posterior"])
+@pytest.mark.parametrize("pair", [("km", "sld"), ("mc", "km"), ("p1", "p2")])
+def test_ranker_matches_adaptive_statistic(pair, objective):
+    """The search ranker agrees with the adaptive statistic on one record of
+    every orbit up to total 4, so it ranks on the statistic itself."""
+    p, q = (make_prior(kind, cfg=TIGHT) for kind in pair)
+    obj = _RecordObjective(p, q, objective, TIGHT)
+    orbits = {_orbit_key(vec): vec for vec in _enumerate_counts(4, "any")}
+    for vec in orbits.values():
+        rec = _record(vec)
+        assert obj.value(rec) == pytest.approx(obj.exact_value(rec),
+                                               rel=1e-10, abs=0.0), vec
+
+
+@pytest.mark.parametrize("p, q, max_total, objective, want, value", [
+    ("km", "ld", 3, "posterior-vs-prior", "Z+:1,Z-:1", 0.8911103586081776),
+    ("ld", "mc", 5, "prior-vs-posterior", "Y+:1,Y-:1,Z+:1,Z-:1",
+     0.8478334973926338),
+])
+def test_search_pinned_winners(p, q, max_total, objective, want, value):
+    rec, val = search_min_record(make_prior(p), make_prior(q), max_total,
+                                 "any", objective)
+    assert rec == parse_record(want)
+    assert val == pytest.approx(value, rel=1e-9)
 
 
 def test_search_deterministic():

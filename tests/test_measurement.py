@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import permutations, product
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -161,6 +162,26 @@ def test_angular_kernels_match_oracle(spec, r):
                      * sphere_mean_record_log_term(counts, r, axis, sign))
         assert angular_likelihood_log_term(rec, r, axis, sign) \
             == pytest.approx(want, rel=1e-12, abs=0.0), (axis, sign)
+
+
+@pytest.mark.parametrize("spec", ORACLE_RECORDS)
+def test_angular_kernels_accept_an_array_of_radii(spec):
+    """An array of radii gives the scalar results element by element, and a
+    scalar radius still gives a float."""
+    rec = parse_record(spec)
+    radii = np.array([0.0, 0.3, 0.9, 1.0 - 1e-10, 1.0])
+
+    def check(kernel, *args):
+        got = kernel(rec, radii, *args)
+        assert got.shape == radii.shape
+        for value, r in zip(got, radii):
+            want = kernel(rec, float(r), *args)
+            assert type(want) is float
+            assert value == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    check(angular_likelihood_integral)
+    for axis, sign, _ in rec.counts:
+        check(angular_likelihood_log_term, axis, sign)
 
 
 def test_log_term_closed_form():
