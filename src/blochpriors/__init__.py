@@ -10,8 +10,7 @@ from .functions import (MonotoneFunction, MonotoneFunctionReport,
                         kubo_mori_function, larson_dukes_generator,
                         morozova_chentsov_function, petz_function,
                         sld_function)
-from .quadrature import (QuadratureConfig, QuadratureResult, crossover_root,
-                         integrate_ball, integrate_radial)
+from .quadrature import QuadratureConfig, crossover_root
 from .priors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
                      PriorDensity, RadialProfile, density_matrix, make_prior,
                      volume_element)
@@ -35,8 +34,7 @@ __all__ = [
     "MonotoneFunction", "MonotoneFunctionReport", "check_monotone_function",
     "custom_function", "kubo_mori_function", "larson_dukes_generator",
     "morozova_chentsov_function", "petz_function", "sld_function",
-    "QuadratureConfig", "QuadratureResult", "crossover_root",
-    "integrate_ball", "integrate_radial",
+    "QuadratureConfig", "crossover_root",
     "DEFAULT_TRUNCATION_RADIUS", "PRIOR_LABELS", "BlochPoint",
     "PriorDensity", "RadialProfile", "density_matrix", "make_prior",
     "volume_element",

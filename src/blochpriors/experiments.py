@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BlochPriorsError, BudgetExceededError
 from . import infotheory
 from .infotheory import (NATS_TO_BITS, PosteriorSide, _posterior_vs_prior,
                          _prior_vs_posterior, crossover_radius,
@@ -39,7 +39,7 @@ from .measurement import (MeasurementRecord, angular_likelihood_integral,
                           angular_likelihood_log_term, balanced_six, evidence,
                           parse_record)
 from .priors import DEFAULT_TRUNCATION_RADIUS, PriorDensity, make_prior
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _s_limit
 
 __all__ = [
     "SweepResult",
@@ -91,8 +91,7 @@ class _RecordObjective:
     def __init__(self, p: PriorDensity, q: PriorDensity, objective: str,
                  cfg: QuadratureConfig):
         self.p, self.q, self.objective, self.cfg = p, q, objective, cfg
-        R = p.support_radius
-        S = 120.0 if R >= 1.0 else math.log((1.0 + R) / (1.0 - R))
+        S = _s_limit(p.support_radius)
         x, w = np.polynomial.legendre.leggauss(self._N_S)
         s = 0.5 * S * (x + 1.0)
         gw = 0.5 * S * w
@@ -429,7 +428,7 @@ def reproduce(table: str = "all",
             continue
         try:
             computed = float(thunk())
-        except Exception:
+        except BlochPriorsError:
             computed = float("nan")
         rows.append(_row(qid, published, computed, cls))
     rows.sort(key=lambda r: r.quantity_id)

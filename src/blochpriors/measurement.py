@@ -275,14 +275,6 @@ class PosteriorDensity:
     def support_radius(self) -> float:
         return self.prior.support_radius
 
-    def spherical_density(self, r, theta, phi, omr2=None):
-        base = self.prior.spherical_density(r, theta, phi, omr2)
-        st = np.sin(theta)
-        x = r * st * np.cos(phi)
-        y = r * st * np.sin(phi)
-        z = r * np.cos(theta) * np.ones(np.shape(phi))
-        return base * self.record.likelihood_xyz(x, y, z) / self.evidence
-
     def density_at(self, pt: BlochPoint, convention: str = "spherical"):
         lik = self.record.likelihood_xyz(pt.x, pt.y, pt.z)
         return self.prior.density_at(pt, convention) * float(lik) / self.evidence

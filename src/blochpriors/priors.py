@@ -101,11 +101,10 @@ class RadialProfile:
     log_power: int
     coef: float = 1.0
 
-    def __call__(self, r, omr2=None):
+    def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if omr2 is None:
-            omr2 = (1.0 - r) * (1.0 + r)
-        out = self.coef * r ** self.r_power * np.asarray(omr2) ** self.boundary_power
+        omr2 = (1.0 - r) * (1.0 + r)
+        out = self.coef * r ** self.r_power * omr2 ** self.boundary_power
         if self.log_power:
             out = out * boundary_log(r) ** self.log_power
         return out if np.ndim(out) else float(out)
@@ -181,25 +180,14 @@ class PriorDensity:
             raise OutOfSupportError(
                 f"r beyond support radius {self.support_radius} of {self.name}")
 
-    def radial_density(self, r, omr2=None):
+    def radial_density(self, r):
         """Normalized radial density c * g(r) (angular part integrated out
         contributes the remaining 4*pi)."""
         self._check_support(r)
-        return self.normalization * self.profile(r, omr2)
+        return self.normalization * self.profile(r)
 
     def log_radial_density_s(self, s: float) -> float:
         return math.log(self.normalization) + self.profile.log_value_s(s)
-
-    def spherical_density(self, r, theta, phi=0.0, omr2=None):
-        """Joint density in (r, theta, phi); independent of phi."""
-        self._check_support(r)
-        val = self.normalization * self.profile(r, omr2) * np.sin(theta)
-        return val * np.ones(np.shape(phi)) if np.ndim(phi) else val
-
-    def cartesian_density(self, r, omr2=None):
-        """Density per unit Cartesian volume at radius r."""
-        self._check_support(r)
-        return self.normalization * self.profile.cartesian(r, omr2)
 
     def density_at(self, pt: BlochPoint, convention: str = "spherical"):
         """Density at a point, in the requested volume convention."""

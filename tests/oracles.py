@@ -1,23 +1,36 @@
 """Reference values computed without the blochpriors package.
 
-Nothing here imports ``blochpriors``.  :func:`truncated_balanced6`
-evaluates the truncated family (p0, p1, p2) under the ``balanced6``
-record straight from the defining densities, with ``mpmath.quad`` at 30
-significant digits.  For any axis-aligned record,
-:func:`sphere_mean_record_likelihood` and :func:`sphere_mean_record_log_term`
-give the sphere averages of the likelihood L (exactly) and of
-L log((1 +/- s_axis)/2) (to 30 digits) at a fixed radius.
+Nothing here imports ``blochpriors``.  Every value comes straight from
+the defining densities of the seven priors, with ``mpmath.quad`` at 30
+significant digits unless stated otherwise:
+
+* :func:`normalization`: the constant c of c g(r) sin(theta), any prior;
+* :func:`record_evidence`: the evidence of any axis-aligned record under
+  any prior;
+* :func:`direct_divergence`: D(p || Post_q) or D(Post_p || q) from the
+  pointwise densities, by 2-D quadrature at 15 digits;
+* :func:`truncated_balanced6`: the statistics of the truncated family
+  (p0, p1, p2) under the ``balanced6`` record;
+* :func:`sphere_mean_record_likelihood` and
+  :func:`sphere_mean_record_log_term`: the sphere averages of a record's
+  likelihood L (exactly) and of L log((1 +/- s_axis)/2) at a fixed radius.
 
 The radial density of prior k is proportional to its bare factor g_k(r)
-on [0, R] (the angular part is uniform):
+on [0, R] (the angular part is uniform), R = 1 for the proper priors and
+just below 1 for the truncated ones:
 
+* sld: r^2 (1 - r^2)^(-1/2);
+* km: r (1 - r^2)^(-1/2) L;
+* mc: (1 - r^2)^(-1/2) L^2;
+* ld: r^2;
 * p0: r^2 (1 - r^2)^(-3/2);
 * p1: r (1 - r^2)^(-1) L;
 * p2: (1 - r^2)^(-1/2) L^2,
 
 with L = log((1 + r)/(1 - r)).  Every integral is taken in s = L, where
 r = tanh(s/2), 1 - r^2 = sech^2(s/2) and dr = (1 - r^2)/2 ds, which
-turns the boundary singularities into smooth growth on [0, S].
+turns the boundary singularities into smooth growth on [0, S], S = inf
+for R = 1.
 
 ``balanced6`` is one up and one down outcome along each axis, so the
 likelihood of the Bloch vector (x, y, z) is
@@ -47,6 +60,7 @@ DPS = 30
 # relative; the oracle therefore integrates up to the same double.
 TRUNCATION_RADIUS = 1.0 - 1e-10
 
+PROPER = ("sld", "km", "mc", "ld")
 TRUNCATED = ("p0", "p1", "p2")
 
 # the two published values the oracle does not reproduce: both are low by
@@ -55,6 +69,10 @@ ERRATA = frozenset({"d.p1.post_p0.balanced6", "d.p1.post_p2.balanced6"})
 
 # bare radial factors g(r), given r, 1 - r^2 and L = s
 _BARE = {
+    "sld": lambda r, omr2, s: r ** 2 / mpmath.sqrt(omr2),
+    "km": lambda r, omr2, s: r * s / mpmath.sqrt(omr2),
+    "mc": lambda r, omr2, s: s ** 2 / mpmath.sqrt(omr2),
+    "ld": lambda r, omr2, s: r ** 2,
     "p0": lambda r, omr2, s: r ** 2 / omr2 ** 1.5,
     "p1": lambda r, omr2, s: r / omr2 * s,
     "p2": lambda r, omr2, s: s ** 2 / mpmath.sqrt(omr2),
@@ -64,6 +82,43 @@ _BARE = {
 def _radial(s):
     """(r, 1 - r^2) at s = log((1 + r)/(1 - r))."""
     return mpmath.tanh(s / 2), mpmath.sech(s / 2) ** 2
+
+
+def _s_nodes(kind):
+    """Breakpoints in s of the prior's support: [0, inf) for the proper
+    priors (R = 1), [0, S] at the truncation radius for the others.  They
+    keep each tanh-sinh panel smooth and of modest range."""
+    if kind in PROPER:
+        return [0, 1, 4, 12, 40, mpmath.inf]
+    R = mpmath.mpf(TRUNCATION_RADIUS)
+    return [0, 1, 4, 12, mpmath.log((1 + R) / (1 - R))]
+
+
+def _integrate(f, kind):
+    """Integral over the support of ``kind`` of f(s, r, 1 - r^2), an
+    integrand in r; dr = (1 - r^2)/2 ds is supplied here.  Raises
+    ``ArithmeticError`` when the quadrature's own error estimate exceeds
+    1e-20 relative."""
+    def g(s):
+        r, omr2 = _radial(s)
+        return f(s, r, omr2) * omr2 / 2
+    value, err = mpmath.quad(g, _s_nodes(kind), error=True)
+    if not err <= 1e-20 * abs(value):
+        raise ArithmeticError(f"oracle quadrature error {err} on {value}")
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _mass(kind):
+    """Integral of the bare factor g_k over [0, R], an mpf."""
+    with mpmath.workdps(DPS):
+        return _integrate(lambda s, r, omr2: _BARE[kind](r, omr2, s), kind)
+
+
+def normalization(kind):
+    """The constant c = 1/(4 pi mass) of c g(r) sin(theta), as a float."""
+    with mpmath.workdps(DPS):
+        return float(1 / (4 * mpmath.pi * _mass(kind)))
 
 
 def sphere_mean_likelihood(r):
@@ -86,28 +141,17 @@ def truncated_balanced6():
     plus ``e_log_l.<p>.balanced6`` for E_p[log L6].  The mapping is
     read-only and shared by every caller; its values are floats."""
     with mpmath.workdps(DPS):
-        R = mpmath.mpf(TRUNCATION_RADIUS)
-        S = mpmath.log((1 + R) / (1 - R))
-        # breakpoints keep each tanh-sinh panel smooth and of modest range
-        nodes = [0, 1, 4, 12, S]
-
+        # every truncated prior has the same support, hence the same nodes
         def integrate(f):
-            # f(s, r, 1 - r^2) is an integrand in r; supply dr = omr2/2 ds
-            def g(s):
-                r, omr2 = _radial(s)
-                return f(s, r, omr2) * omr2 / 2
-            return mpmath.quad(g, nodes)
-
-        mass = {k: integrate(lambda s, r, omr2, k=k: _BARE[k](r, omr2, s))
-                for k in TRUNCATED}
+            return _integrate(f, "p0")
 
         def density(k, s, r, omr2):
-            return _BARE[k](r, omr2, s) / mass[k]
+            return _BARE[k](r, omr2, s) / _mass(k)
 
         out = {}
         evidence, e_log_l = {}, {}
         for p in TRUNCATED:
-            out[f"norm.{p}"] = 1 / (4 * mpmath.pi * mass[p])
+            out[f"norm.{p}"] = 1 / (4 * mpmath.pi * _mass(p))
             evidence[p] = integrate(lambda s, r, omr2, p=p: density(
                 p, s, r, omr2) * sphere_mean_likelihood(r))
             e_log_l[p] = integrate(lambda s, r, omr2, p=p: density(
@@ -162,7 +206,9 @@ def _axis_polynomial(counts, axis):
 
 
 @functools.lru_cache(maxsize=None)
-def _likelihood_mean(items, r):
+def _likelihood_polynomial(items):
+    """The sphere average of the record's likelihood at radius r, as exact
+    coefficients {d: c_d} of r^d (d even), and the record total."""
     counts = dict(items)
     (cx, nx), (cy, ny), (cz, nz) = (_axis_polynomial(counts, axis)
                                     for axis in "XYZ")
@@ -174,15 +220,46 @@ def _likelihood_mean(items, r):
                 by_degree[a + b + c] = by_degree.get(a + b + c, 0) + (
                     cx[a] * cy[b] * cz[c] * _double_factorial(a - 1)
                     * _double_factorial(b - 1) * _double_factorial(c - 1))
-    r = Fraction(r)
-    return sum(Fraction(total, _double_factorial(d + 1)) * r ** d
-               for d, total in by_degree.items()) / 2 ** (nx + ny + nz)
+    n = nx + ny + nz
+    return {d: Fraction(total, _double_factorial(d + 1) * 2 ** n)
+            for d, total in by_degree.items()}, n
 
 
 def sphere_mean_record_likelihood(counts, r):
     """Exact average of the record's likelihood over the sphere of radius
     r, a Fraction; r is taken as the exact value of the given double."""
-    return _likelihood_mean(tuple(sorted(counts.items())), r)
+    poly, _ = _likelihood_polynomial(tuple(sorted(counts.items())))
+    r = Fraction(r)
+    return sum(c * r ** d for d, c in poly.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _evidence(kind, items):
+    """E_k[L] at the default radius of ``kind``, an mpf.
+
+    At each radius the sphere average of L is the exact polynomial of
+    :func:`_likelihood_polynomial`, summed with N + 10 guard digits for a
+    record total N: its terms cancel, as in
+    :func:`sphere_mean_record_log_term`.
+    """
+    poly, n = _likelihood_polynomial(items)
+    guarded = DPS + n + 10
+    with mpmath.workdps(guarded):
+        terms = [(d, mpmath.mpf(c.numerator) / c.denominator)
+                 for d, c in poly.items()]
+    with mpmath.workdps(DPS):
+        def mean(r):
+            with mpmath.workdps(guarded):
+                return mpmath.fsum(c * r ** d for d, c in terms)
+
+        return _integrate(lambda s, r, omr2: _BARE[kind](r, omr2, s)
+                          * mean(r), kind) / _mass(kind)
+
+
+def record_evidence(kind, counts):
+    """Evidence E_k[L] of an axis-aligned record under prior ``kind`` at its
+    default radius, as a float."""
+    return float(_evidence(kind, tuple(sorted(counts.items()))))
 
 
 def _ring_polynomial(counts):
@@ -241,3 +318,49 @@ def sphere_mean_record_log_term(counts, r, axis, sign):
         if not err <= 1e-20 * abs(value):
             raise ArithmeticError(f"oracle quadrature error {err} on {value}")
         return value * scale / 2
+
+
+def direct_divergence(p, q, counts, posterior_first=False):
+    """D(P || Q) straight from the pointwise definition of the densities, by
+    a 2-D ``mpmath.quad`` over (s, mu) at 15 digits; a float.
+
+    With ``posterior_first`` false, P is prior ``p`` and Q is the posterior
+    of prior ``q`` under the record; with it true, P is the posterior of
+    ``p`` and Q is prior ``q``.  Both priors are taken at their default
+    radius, which must be the same.  The record may only hold Z outcomes,
+    so that neither density depends on phi.  A posterior is prior * L / Z
+    with Z from :func:`_evidence`.  Raises ``ArithmeticError`` when the
+    quadrature's own error estimate exceeds 1e-12 relative.
+    """
+    if _s_nodes(p) != _s_nodes(q):
+        raise ValueError(f"{p} and {q} have different supports")
+    if any(axis != "Z" for axis, _ in counts):
+        raise ValueError("only Z outcomes keep the integrand free of phi")
+    items = tuple(sorted(counts.items()))
+    with mpmath.workdps(15):
+        z = _evidence(p if posterior_first else q, items)
+        c_p, c_q = (1 / (4 * mpmath.pi * _mass(k)) for k in (p, q))
+
+        @functools.lru_cache(maxsize=None)
+        def radial(s):
+            # r, and the two priors' densities in (r, mu) per ds: 2 pi c g(r)
+            # times dr/ds = (1 - r^2)/2
+            r, omr2 = _radial(s)
+            return (r, mpmath.pi * c_p * _BARE[p](r, omr2, s) * omr2,
+                    mpmath.pi * c_q * _BARE[q](r, omr2, s) * omr2)
+
+        def f(s, mu):
+            r, dens_p, dens_q = radial(s)
+            lik = mpmath.fprod((1 + r * mu) / 2 if sign == "+"
+                               else (1 - r * mu) / 2 for (_, sign), n in items
+                               for _ in range(n))
+            if posterior_first:
+                dens_p = dens_p * lik / z
+            else:
+                dens_q = dens_q * lik / z
+            return dens_p * mpmath.log(dens_p / dens_q)
+
+        value, err = mpmath.quad(f, _s_nodes(p), [-1, 0, 1], error=True)
+        if not err <= 1e-12 * abs(value):
+            raise ArithmeticError(f"oracle quadrature error {err} on {value}")
+        return float(value)

@@ -19,16 +19,16 @@ import math
 import numpy as np
 import pytest
 
-from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS,
-                         QuadratureConfig, Variant, Verdict, balanced_six,
-                         check_monotone_function, integrate_ball,
-                         kubo_mori_function, larson_dukes_generator,
-                         make_prior, morozova_chentsov_function,
-                         noninformativity_verdict, parse_record,
-                         petz_function, posterior, relative_entropy,
-                         repeat_sweep, reproduce, sld_function)
+from blochpriors import (PRIOR_LABELS, Variant, Verdict, balanced_six,
+                         check_monotone_function, kubo_mori_function,
+                         larson_dukes_generator, make_prior,
+                         morozova_chentsov_function, noninformativity_verdict,
+                         parse_record, petz_function, posterior,
+                         relative_entropy, repeat_sweep, reproduce,
+                         sld_function)
 from blochpriors.infotheory import VERDICT_MARGIN
-from oracles import ERRATA, truncated_balanced6
+from oracles import (ERRATA, normalization, record_evidence,
+                     truncated_balanced6)
 
 B6 = balanced_six()
 
@@ -146,22 +146,19 @@ def test_criterion_4_verdict_ordering():
 def test_criterion_5_property_suites():
     details = []
 
-    # normalization of every prior and of several posteriors within 1e-7
-    norm_ok = True
-    for kind in PRIOR_LABELS:
-        p = make_prior(kind)
-        cfg = QuadratureConfig(singularity_exponent=p.profile.boundary_power)
-        val = integrate_ball(p.spherical_density, p.support_radius, cfg).value
-        norm_ok &= abs(val - 1.0) <= 1e-7
-    for kind, rec in (("sld", B6), ("km", parse_record("Z+:2,X-:1")),
-                      ("p0", B6)):
-        p = make_prior(kind)
-        post = posterior(p, rec)
-        cfg = QuadratureConfig(singularity_exponent=p.profile.boundary_power)
-        val = integrate_ball(post.spherical_density, p.support_radius,
-                             cfg).value
-        norm_ok &= abs(val - 1.0) <= 1e-7
-    details.append(("normalization 1e-7", norm_ok))
+    # normalization of every prior and evidence of several posteriors, each
+    # within 1e-12 relative of the package-independent oracle
+    norm_ok = all(make_prior(kind).normalization
+                  == pytest.approx(normalization(kind), rel=1e-12)
+                  for kind in PRIOR_LABELS)
+    for kind, rec, truth in (
+            ("sld", B6, 71.0 / (64.0 * 192.0)),   # exact
+            ("km", parse_record("Z+:2,X-:1"),
+             record_evidence("km", {("Z", "+"): 2, ("X", "-"): 1})),
+            ("p0", B6, 1.0 / truncated_balanced6()["z.p0.balanced6"])):
+        norm_ok &= posterior(make_prior(kind), rec).evidence == pytest.approx(
+            truth, rel=1e-12)
+    details.append(("normalization 1e-12", norm_ok))
 
     # Gibbs inequality over all ordered built-in pairs with shared support
     full, trunc = ("sld", "km", "mc", "ld"), ("p0", "p1", "p2")

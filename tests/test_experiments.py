@@ -1,5 +1,6 @@
 """Sweeps, record search and the reproduction table."""
 
+import math
 import time
 from itertools import permutations, product
 
@@ -8,7 +9,8 @@ import pytest
 from blochpriors import (QuadratureConfig, balanced_six, make_prior,
                          parse_record, relative_entropy, repeat_sweep,
                          reproduce, search_min_record)
-from blochpriors.errors import BudgetExceededError
+from blochpriors import experiments
+from blochpriors.errors import BudgetExceededError, NonConvergenceError
 from blochpriors.experiments import (_candidate_count, _enumerate_counts,
                                      _orbit_key, _record, _RecordObjective)
 
@@ -210,3 +212,27 @@ def test_reproduce_spot_values():
     assert rows["z.sld.balanced6"].tolerance_class == "exact-rational"
     assert rows["z.sld.balanced6"].passed
 
+
+
+def _raising(exc):
+    def variance_z(*args, **kwargs):
+        raise exc
+    return variance_z
+
+
+def test_reproduce_lets_programming_errors_through(monkeypatch):
+    monkeypatch.setattr(experiments, "variance_z",
+                        _raising(TypeError("a programming error")))
+    with pytest.raises(TypeError, match="a programming error"):
+        reproduce("s3")
+
+
+def test_reproduce_turns_package_errors_into_failing_rows(monkeypatch):
+    monkeypatch.setattr(experiments, "variance_z",
+                        _raising(NonConvergenceError("no convergence")))
+    rows = {r.quantity_id: r for r in reproduce("s3")}
+    for kind in ("mc", "km", "sld", "ld"):
+        row = rows[f"var_z.{kind}"]
+        assert math.isnan(row.computed_value)
+        assert not row.passed
+    assert rows["marginal.sld.disk"].passed

@@ -13,7 +13,7 @@ from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PosteriorSide, Variant,
                          noninformativity_verdict, parse_record,
                          relative_entropy, relative_entropy_vs_posterior)
 from blochpriors.errors import OutOfSupportError, SupportMismatchError
-from oracles import truncated_balanced6
+from oracles import direct_divergence, truncated_balanced6
 
 R10 = DEFAULT_TRUNCATION_RADIUS
 FULL = ("sld", "km", "mc", "ld")
@@ -97,21 +97,22 @@ def test_posterior_divergence_against_regression_values():
 
 
 def test_posterior_side_against_direct_definition():
-    """Oracle: both sides recomputed from the posterior's pointwise
-    definition by direct ball quadrature over the joint density."""
-    from blochpriors import QuadratureConfig, integrate_ball, posterior
-    p, q = _p("sld"), _p("km")
-    rec = parse_record("Z+:1")
-    post = posterior(q, rec)
+    """Oracle: D(p || Post_q) recomputed from the posterior's pointwise
+    definition, p log(p/(q L/Z)), by a 2-D mpmath quadrature over (s, mu)
+    in oracles.py."""
+    direct = direct_divergence("sld", "km", {("Z", "+"): 1})
+    fast = relative_entropy_vs_posterior(_p("sld"), _p("km"),
+                                         parse_record("Z+:1"), SECOND)
+    assert fast == pytest.approx(direct, rel=1e-10)
 
-    def integrand(r, theta, phi):
-        dp = p.spherical_density(r, theta, phi)
-        dq = post.spherical_density(r, theta, phi)
-        return dp * np.log(dp / dq)
 
-    direct = integrate_ball(integrand, 1.0, QuadratureConfig()).value
-    fast = relative_entropy_vs_posterior(p, q, rec, SECOND)
-    assert fast == pytest.approx(direct, rel=1e-7)
+def test_clarke_side_against_direct_definition():
+    """The same oracle for D(Post_p || q), from (p L/Z) log(p L/(Z q))."""
+    direct = direct_divergence("sld", "km", {("Z", "+"): 1},
+                               posterior_first=True)
+    fast = relative_entropy_vs_posterior(_p("sld"), _p("km"),
+                                         parse_record("Z+:1"), FIRST)
+    assert fast == pytest.approx(direct, rel=1e-10)
 
 
 # --- information gain ---------------------------------------------------------

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
-                         QuadratureConfig, density_matrix, integrate_ball,
-                         kubo_mori_function, larson_dukes_generator,
-                         make_prior, petz_function, sld_function,
-                         volume_element)
+                         density_matrix, kubo_mori_function,
+                         larson_dukes_generator, make_prior, petz_function,
+                         sld_function, volume_element)
 from blochpriors.errors import ImproperPriorError, OutOfSupportError
 from blochpriors.priors import boundary_log
+from oracles import normalization
 
 R10 = DEFAULT_TRUNCATION_RADIUS
 GRID = np.linspace(0.05, 0.95, 19)
@@ -102,10 +102,10 @@ def test_unknown_label_and_bad_radius():
 
 @pytest.mark.parametrize("kind", PRIOR_LABELS)
 def test_prior_integrates_to_one(kind):
-    p = make_prior(kind)
-    cfg = QuadratureConfig(singularity_exponent=p.profile.boundary_power)
-    res = integrate_ball(p.spherical_density, p.support_radius, cfg)
-    assert res.value == pytest.approx(1.0, abs=1e-7)
+    """c g(r) sin(theta) integrates to one exactly when c is 1/(4 pi) over
+    the 30-digit mass of g in oracles.py."""
+    assert make_prior(kind).normalization == pytest.approx(
+        normalization(kind), rel=1e-12)
 
 
 def test_density_conventions_consistent():

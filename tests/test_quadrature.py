@@ -1,100 +1,73 @@
-"""Radial and ball integration against closed-form oracles."""
+"""The radial engine quad_s against closed-form oracles.
+
+quad_s integrates w(r) dr over [0, R] with w given in s = log((1+r)/(1-r)),
+where r = tanh(s/2) and (1 - r^2)^(-1/2) = cosh(s/2).
+"""
 
 import math
 
-import numpy as np
 import pytest
 
-from blochpriors import QuadratureConfig, integrate_ball, integrate_radial
+from blochpriors import QuadratureConfig
 from blochpriors.errors import NoSignChangeError
-from blochpriors.quadrature import crossover_root
+from blochpriors.quadrature import crossover_root, quad_s
 
 R10 = 1.0 - 1e-10
 CFG = QuadratureConfig()
 
 
+def _r(s):
+    return math.tanh(s / 2.0)
+
+
+def _converged(value, err):
+    return err <= max(CFG.rel_tol * abs(value), CFG.abs_tol)
+
+
 def test_polynomial_plain():
-    res = integrate_radial(lambda r: r * r, 1.0, CFG)
-    assert res.converged
-    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12)
+    value, err, _ = quad_s(lambda s: _r(s) ** 2, 1.0, CFG)
+    assert _converged(value, err)
+    assert value == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_inverse_sqrt_singularity_sin_substitution():
     # Int_0^1 r^2 (1-r^2)^(-1/2) dr = pi/4
-    def fn(r, omr2=None):
-        return r * r / math.sqrt(omr2 if omr2 is not None else 1.0 - r * r)
-
-    res = integrate_radial(fn, 1.0, CFG, singularity_exponent=-0.5)
-    assert res.converged
-    assert res.value == pytest.approx(math.pi / 4.0, rel=1e-10)
+    value, err, _ = quad_s(lambda s: _r(s) ** 2 * math.cosh(s / 2.0), 1.0,
+                           CFG)
+    assert _converged(value, err)
+    assert value == pytest.approx(math.pi / 4.0, rel=1e-10)
 
 
 def test_strong_singularity_log_substitution():
     # Int_0^R r^2 (1-r^2)^(-3/2) dr = R/sqrt(1-R^2) - asin(R)
-    def fn(r, omr2=None):
-        o = omr2 if omr2 is not None else 1.0 - r * r
-        return r * r * o ** -1.5
-
     truth = R10 / math.sqrt((1.0 - R10) * (1.0 + R10)) - math.asin(R10)
-    res = integrate_radial(fn, R10, CFG, singularity_exponent=-1.5)
-    assert res.converged
-    assert res.value == pytest.approx(truth, rel=1e-9)
+    value, err, _ = quad_s(lambda s: _r(s) ** 2 * math.cosh(s / 2.0) ** 3,
+                           R10, CFG)
+    assert _converged(value, err)
+    assert value == pytest.approx(truth, rel=1e-9)
 
 
 def test_log_weighted_singularity():
-    # Int_0^1 (1-r^2)^(-1/2) log((1+r)/(1-r)) dr = 4 * Catalan's constant;
-    # the log is rewritten through omr2 so it stays finite at r -> 1
-    def fn(r, omr2=None):
-        o = omr2 if omr2 is not None else 1.0 - r * r
-        return math.log((1.0 + r) ** 2 / o) / math.sqrt(o)
-
+    # Int_0^1 (1-r^2)^(-1/2) log((1+r)/(1-r)) dr = 4 * Catalan's constant,
+    # which is s cosh(s/2) in s
     truth = 3.6638623767088752  # 4G, 30-digit quadrature oracle
-    res = integrate_radial(fn, 1.0, CFG, singularity_exponent=-1.0,
-                           method="log")
-    assert res.value == pytest.approx(truth, rel=1e-9)
-
-
-def test_methods_agree_on_smooth_integrand():
-    fn = lambda r: math.exp(-r) * r
-    vals = [integrate_radial(fn, 0.9, CFG, method=m).value
-            for m in ("plain", "sin", "log")]
-    assert vals[0] == pytest.approx(vals[1], rel=1e-11)
-    assert vals[0] == pytest.approx(vals[2], rel=1e-11)
+    value, _, _ = quad_s(lambda s: s * math.cosh(s / 2.0), 1.0, CFG)
+    assert value == pytest.approx(truth, rel=1e-9)
 
 
 def test_determinism():
-    fn = lambda r: math.sqrt(r) / (1.0 + r)
-    a = integrate_radial(fn, 1.0, CFG)
-    b = integrate_radial(fn, 1.0, CFG)
-    assert a.value == b.value
-    assert a.error_estimate == b.error_estimate
+    def w(s):
+        r = _r(s)
+        return math.sqrt(r) / (1.0 + r)
+
+    assert quad_s(w, 1.0, CFG) == quad_s(w, 1.0, CFG)
 
 
 def test_error_estimate_honest():
     truth = math.pi / 4.0
-
-    def fn(r, omr2=None):
-        return r * r / math.sqrt(omr2 if omr2 is not None else 1.0 - r * r)
-
-    res = integrate_radial(fn, 1.0, CFG, singularity_exponent=-0.5)
-    assert abs(res.value - truth) <= max(10.0 * res.error_estimate, 1e-12)
-
-
-def test_ball_volume():
-    # integrand written against d(phi) d(theta) d(r) includes sin(theta)
-    res = integrate_ball(lambda r, theta, phi: r * r * np.sin(theta)
-                         * np.ones(np.shape(phi)), 1.0, CFG)
-    assert res.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-9)
-
-
-def test_octant_symmetry_agrees():
-    def fn(r, theta, phi):
-        return r * r * np.sin(theta) * (1.0 + np.cos(theta) ** 2
-                                        + 0.2 * np.cos(2 * phi) ** 2)
-
-    full = integrate_ball(fn, 1.0, CFG).value
-    octant = integrate_ball(fn, 1.0, CFG, octant_symmetric=True).value
-    assert full == pytest.approx(octant, rel=1e-8)
+    value, err, _ = quad_s(lambda s: _r(s) ** 2 * math.cosh(s / 2.0), 1.0,
+                           CFG)
+    assert abs(value - truth) <= max(10.0 * err, 1e-12)
 
 
 def test_crossover_root_bisection():
@@ -112,5 +85,3 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_evaluations=5)
-    with pytest.raises(ValueError):
-        integrate_radial(lambda r: r, 1.5, CFG)
