@@ -29,7 +29,8 @@ def _record(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_common(sub, priors=(), record=False, variant=False):
+def _add_common(sub, priors=(), record=False, variant=False, units=False,
+                radius=True):
     for flag in priors:
         sub.add_argument(f"--{flag}", required=True, choices=PRIOR_LABELS,
                          help="prior label")
@@ -39,15 +40,17 @@ def _add_common(sub, priors=(), record=False, variant=False):
     if variant:
         sub.add_argument("--variant", choices=("paper", "clarke"),
                          default="paper", help="decision-rule variant")
-    sub.add_argument("--R", type=float, default=None,
-                     help="support radius (default 1 for sld/km/mc/ld, "
-                          "1-1e-10 for p0/p1/p2)")
+    if radius:
+        sub.add_argument("--R", type=float, default=None,
+                         help="support radius (default 1 for sld/km/mc/ld, "
+                              "1-1e-10 for p0/p1/p2)")
     sub.add_argument("--rel-tol", type=float, default=1e-8)
     sub.add_argument("--abs-tol", type=float, default=1e-12)
     sub.add_argument("--max-evals", type=int, default=500_000)
     sub.add_argument("--format", choices=("text", "csv", "json"),
                      default="text")
-    sub.add_argument("--units", choices=("nats", "bits"), default="nats")
+    if units:
+        sub.add_argument("--units", choices=("nats", "bits"), default="nats")
 
 
 def _cfg(args) -> QuadratureConfig:
@@ -82,22 +85,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="cartesian")
 
     sp = subs.add_parser("kl", help="relative entropy D(p || q)")
-    _add_common(sp, priors=("p", "q"))
+    _add_common(sp, priors=("p", "q"), units=True)
 
     sp = subs.add_parser("compare",
                          help="noninformativity verdict for a prior pair")
-    _add_common(sp, priors=("p", "q"), record=True, variant=True)
+    _add_common(sp, priors=("p", "q"), record=True, variant=True,
+                units=True)
 
     sp = subs.add_parser("gain", help="information gain of a record")
-    _add_common(sp, priors=("p",), record=True)
+    _add_common(sp, priors=("p",), record=True, units=True)
 
     sp = subs.add_parser("sweep", help="divergence under repeated records")
-    _add_common(sp, priors=("p", "q"), record=True)
+    _add_common(sp, priors=("p", "q"), record=True, units=True)
     sp.add_argument("--k-max", type=int, default=4)
 
     sp = subs.add_parser("search",
                          help="record minimizing a divergence objective")
-    _add_common(sp, priors=("p", "q"))
+    _add_common(sp, priors=("p", "q"), units=True)
     sp.add_argument("--max-total", type=int, default=6)
     sp.add_argument("--constraint", choices=("balanced-axes", "any"),
                     default="balanced-axes")
@@ -106,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="posterior-vs-prior")
 
     sp = subs.add_parser("reproduce", help="recompute the published table")
-    _add_common(sp)
+    _add_common(sp, radius=False)
     sp.add_argument("--table", choices=("all", "s21", "s22", "s23", "s3"),
                     default="all")
     return parser
@@ -116,6 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # records, text lines); every CSV record is a flat dict, keyed by column.
 
 def _scalar(args, name: str, value: float):
+    """A divergence in nats, shown in the requested units."""
+    value *= _scale(args)
     doc = {name: value, "units": args.units}
     return doc, [doc], [f"{value:.6g}"]
 
@@ -133,14 +139,14 @@ def _priors(args, cfg):
 
 def _eval(args, cfg):
     pt = BlochPoint(args.x, args.y, args.z)
-    density = _prior(args, cfg, args.p).density_at(pt, args.convention)
-    return _scalar(args, "density", density)
+    doc = {"density": _prior(args, cfg, args.p).density_at(pt, args.convention)}
+    return doc, [doc], [f"{doc['density']:.6g}"]
 
 
 def _kl(args, cfg):
     value = infotheory.relative_entropy(_prior(args, cfg, args.p),
                                         _prior(args, cfg, args.q), cfg)
-    return _scalar(args, "relative_entropy", value * _scale(args))
+    return _scalar(args, "relative_entropy", value)
 
 
 def _compare(args, cfg):
@@ -167,11 +173,11 @@ def _compare(args, cfg):
 def _gain(args, cfg):
     value = infotheory.information_gain(_prior(args, cfg, args.p),
                                         args.record, cfg)
-    return _scalar(args, "information_gain", value * _scale(args))
+    return _scalar(args, "information_gain", value)
 
 
 def _sweep(args, cfg):
-    base = args.record if args.record.counts else parse_record("balanced6")
+    base = args.record if args.record.total else parse_record("balanced6")
     result = experiments.repeat_sweep(_prior(args, cfg, args.p),
                                       _prior(args, cfg, args.q),
                                       base, args.k_max, cfg)

@@ -1,9 +1,10 @@
 """Reproduction table, repeat sweeps and small measurement-set search.
 
-The search enumerates count vectors, evaluates its objective once per orbit
-of the 48 signed axis permutations with the record-sized angular kernels of
-:mod:`measurement` on a fixed radial rule, and recomputes the winner's value
-with the adaptive integrator of :mod:`infotheory`.
+The search enumerates one record per orbit of the 48 signed axis
+permutations, the orbit's lexicographically least one, evaluates its
+objective with the record-sized angular kernels of :mod:`measurement` on a
+fixed radial rule, and recomputes the winner's value with the adaptive
+integrator of :mod:`infotheory`.
 
 The reproduction table recomputes every published figure this package
 models and reports pass/fail per row against a tolerance class:
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -110,7 +111,7 @@ class _RecordObjective:
                                   p, cfg))
 
     def value(self, rec: MeasurementRecord) -> float:
-        if not rec.counts:
+        if not rec.total:
             return self.d_pq
         A = angular_likelihood_integral(rec, self.r)
         if self.objective == "prior-vs-posterior":
@@ -118,36 +119,22 @@ class _RecordObjective:
                 self.d_pq, rec.total * self.per_count_log, float(self.wq @ A))
         wA = self.wp * A
         e_ll = sum(n * float(self.wp @ angular_likelihood_log_term(
-            rec, self.r, axis, sign)) for axis, sign, n in rec.counts)
+            rec, self.r, axis, sign)) for axis, sign, n in rec.outcomes())
         return _posterior_vs_prior(float(wA @ self.log_ratio) + e_ll,
                                    float(wA.sum()))
 
     def exact_value(self, rec: MeasurementRecord) -> float:
-        if not rec.counts:
+        if not rec.total:
             return self.d_pq
-        if self.objective == "prior-vs-posterior":
-            return relative_entropy_vs_posterior(
-                self.p, self.q, rec, PosteriorSide.SECOND_IS_POSTERIOR,
-                self.cfg)
-        return relative_entropy_vs_posterior(
-            self.p, self.q, rec, PosteriorSide.FIRST_IS_POSTERIOR, self.cfg)
-
-
-_KEYS = tuple((a, s) for a in ("X", "Y", "Z") for s in ("+", "-"))
-
-
-def _compositions(parts: int, budget: int):
-    """Every ``parts``-tuple of nonnegative integers summing to <= budget."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _compositions(parts - 1, budget - first):
-            yield (first,) + rest
+        side = (PosteriorSide.SECOND_IS_POSTERIOR
+                if self.objective == "prior-vs-posterior"
+                else PosteriorSide.FIRST_IS_POSTERIOR)
+        return relative_entropy_vs_posterior(self.p, self.q, rec, side,
+                                             self.cfg)
 
 
 def _candidate_count(max_total: int, constraint: str) -> int:
-    """len(_enumerate_counts(max_total, constraint)), in closed form."""
+    """How many records have total <= max_total under ``constraint``."""
     if constraint == "any":
         return math.comb(max_total + 6, 6)
     if constraint == "balanced-axes":
@@ -155,27 +142,26 @@ def _candidate_count(max_total: int, constraint: str) -> int:
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
-def _enumerate_counts(max_total: int, constraint: str) -> list:
-    """Count vectors over (X+, X-, Y+, Y-, Z+, Z-) with total <= max_total."""
+def _orbit_representatives(max_total: int, constraint: str):
+    """The lexicographically least record of each orbit of the 48 signed axis
+    permutations, over the records with total <= max_total.
+
+    A signed permutation reorders the three (up, down) pairs and may swap
+    the two counts of any pair, so the least member of an orbit has each
+    pair as (min, max) and the pairs in ascending order.
+    """
     if constraint == "any":
-        return list(_compositions(6, max_total))
-    if constraint == "balanced-axes":
-        return [(ux, m - ux, uy, m - uy, uz, m - uz)
-                for m in range(max_total // 3 + 1)
-                for ux, uy, uz in product(range(m + 1), repeat=3)]
-    raise ValueError(f"unknown constraint {constraint!r}")
-
-
-def _orbit_key(vec: tuple) -> tuple:
-    """The same key for two count vectors exactly when one of the 48 signed
-    axis permutations maps one onto the other: each axis's (up, down) pair
-    sorted, then the three pairs sorted."""
-    return tuple(sorted(tuple(sorted(vec[i:i + 2])) for i in (0, 2, 4)))
-
-
-def _record(vec: tuple) -> MeasurementRecord:
-    return MeasurementRecord.from_counts(
-        {k: n for k, n in zip(_KEYS, vec) if n})
+        pairs = [(lo, hi) for lo in range(max_total // 2 + 1)
+                 for hi in range(lo, max_total - lo + 1)]
+        triples = (c for c in combinations_with_replacement(pairs, 3)
+                   if sum(map(sum, c)) <= max_total)
+    elif constraint == "balanced-axes":
+        triples = (c for m in range(max_total // 3 + 1)
+                   for c in combinations_with_replacement(
+                       [(u, m - u) for u in range(m // 2 + 1)], 3))
+    else:
+        raise ValueError(f"unknown constraint {constraint!r}")
+    return (MeasurementRecord(x + y + z) for x, y, z in triples)
 
 
 def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
@@ -189,15 +175,16 @@ def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
     default) or D(p || Posterior(q, rec)) ("prior-vs-posterior").  Records
     with total count up to ``max_total`` are enumerated exhaustively;
     ``constraint="balanced-axes"`` keeps the per-axis totals equal.
-    ``candidate_cap`` bounds the number of records.
+    ``candidate_cap`` bounds the number of records, not of orbits.
 
     Both priors are spherically symmetric, so records related by one of the
-    48 signed axis permutations share the objective: it is evaluated once
-    per orbit, with the record-sized angular kernels on a fixed radial rule
-    (:class:`_RecordObjective`), and every member takes that value.  Ties
-    are broken over all records toward smaller total count, then
-    lexicographic order, so the winner is its orbit's canonical member; its
-    value is recomputed with the adaptive integrator.  Returns
+    48 signed axis permutations share the objective: only the least record
+    of each orbit is enumerated (:func:`_orbit_representatives`) and
+    evaluated, with the record-sized angular kernels on a fixed radial rule
+    (:class:`_RecordObjective`).  Ties break toward smaller total count,
+    then lexicographic order; an orbit's records share one total, so this
+    picks the record that breaking ties over all records would pick.  The
+    winner's value is recomputed with the adaptive integrator.  Returns
     ``(record, value)``.
     """
     if max_total < 0:
@@ -211,20 +198,15 @@ def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
     if n > candidate_cap:
         raise BudgetExceededError(
             f"{n} candidate records exceed the cap {candidate_cap}")
-    vectors = _enumerate_counts(max_total, constraint)
     obj = _RecordObjective(p, q, objective, cfg)
-    keys = [_orbit_key(vec) for vec in vectors]
-    orbit_values = {}
-    for key, vec in zip(keys, vectors):
-        if key not in orbit_values:
-            orbit_values[key] = obj.value(_record(vec))
-    best_val = min(orbit_values.values())
+    values = {rec: obj.value(rec)
+              for rec in _orbit_representatives(max_total, constraint)}
+    best_val = min(values.values())
     # ties within the ranker's tolerance break toward smaller total, then
     # lexicographic
     tol = 1e-10 + 1e-9 * abs(best_val)
-    near = sorted((sum(v), v) for v, key in zip(vectors, keys)
-                  if abs(orbit_values[key] - best_val) <= tol)
-    rec = _record(near[0][1])
+    rec = min((rec for rec, v in values.items() if abs(v - best_val) <= tol),
+              key=lambda rec: (rec.total, rec.counts))
     return rec, obj.exact_value(rec)
 
 

@@ -171,7 +171,7 @@ def _expected_likelihood_log_likelihood(p: PriorDensity,
                                         cfg: QuadratureConfig) -> float:
     """E_p[L log L] = sum over outcomes of n * E_p[L * log((1 +/- s_axis)/2)]."""
     total = 0.0
-    for axis, sign, n in rec.counts:
+    for axis, sign, n in rec.outcomes():
         def w(s, axis=axis, sign=sign):
             r = math.tanh(s / 2.0)
             return (p.profile.value_s(s)
@@ -216,7 +216,7 @@ def relative_entropy_vs_posterior(p: PriorDensity, q: PriorDensity,
 def information_gain(p: PriorDensity, rec: MeasurementRecord,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """D(Posterior(p, rec) || p): what the record teaches about the state."""
-    if not rec.counts:
+    if not rec.total:
         return 0.0
     Z = evidence(p, rec, cfg)
     return _posterior_vs_prior(_expected_likelihood_log_likelihood(p, rec, cfg),

@@ -1,6 +1,7 @@
 """Spin measurement records, likelihoods and Bayesian posteriors.
 
-A record stores up/down counts per axis.  The likelihood of a record at a
+A record is its six outcome counts (X+, X-, Y+, Y-, Z+, Z-): every
+statistic depends on it only through them.  The likelihood of a record at a
 Bloch point is the product over axes of ((1+s)/2)^up * ((1-s)/2)^down with
 s the corresponding Cartesian component.  Repeating a record k times and
 raising the likelihood to the k-th power are the same operation.
@@ -31,7 +32,8 @@ __all__ = [
 ]
 
 AXES = ("X", "Y", "Z")
-_SIGNS = ("+", "-")
+# the order of a record's counts
+_OUTCOMES = tuple((a, s) for a in AXES for s in "+-")
 
 # size of the fixed direction grid of _direction_grid
 _N_MU, _N_PHI = 48, 96
@@ -42,66 +44,81 @@ _N_MU, _N_PHI = 48, 96
 _LOG_EXTRA_NODES = 80
 
 
-def _outcome_factor(v, sign: str, n: int):
-    """((1 + v)/2)^n for a '+' outcome, ((1 - v)/2)^n for a '-' one."""
-    return ((1.0 + v) / 2.0 if sign == "+" else (1.0 - v) / 2.0) ** n
+def _axis_factor(v, up: int, down: int):
+    """((1 + v)/2)^up * ((1 - v)/2)^down, with no factor for a zero count."""
+    if not down:
+        return ((1.0 + v) / 2.0) ** up if up else 1.0
+    out = ((1.0 - v) / 2.0) ** down
+    return ((1.0 + v) / 2.0) ** up * out if up else out
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Immutable up/down counts per measurement axis."""
+    """Immutable outcome counts (X+, X-, Y+, Y-, Z+, Z-).
 
-    counts: tuple  # ((axis, sign, n), ...) canonical, zero entries dropped
+    Equal counts make equal records, with equal hashes, however they were
+    built; ``MeasurementRecord()`` is the empty record.
+    """
+
+    counts: tuple = (0,) * 6
+
+    def __post_init__(self):
+        if not (type(self.counts) is tuple and len(self.counts) == 6
+                and all(type(n) is int and n >= 0 for n in self.counts)):
+            raise ValueError("counts must be a tuple of six nonnegative "
+                             f"integers, got {self.counts!r}")
 
     @classmethod
     def from_counts(cls, mapping) -> "MeasurementRecord":
-        items = []
-        for (axis, sign), n in mapping.items():
-            if axis not in AXES or sign not in _SIGNS:
-                raise ValueError(f"bad axis/sign {(axis, sign)!r}")
-            n = int(n)
-            if n < 0:
-                raise ValueError("counts must be nonnegative")
-            if n:
-                items.append((axis, sign, n))
-        return cls(tuple(sorted(items)))
+        """A record from a {(axis, sign): n} mapping; absent outcomes are 0."""
+        counts = [0] * 6
+        for outcome, n in mapping.items():
+            if outcome not in _OUTCOMES:
+                raise ValueError(f"bad axis/sign {outcome!r}")
+            if n != int(n):
+                raise ValueError(f"count {n!r} is not an integer")
+            counts[_OUTCOMES.index(outcome)] = int(n)
+        return cls(tuple(counts))
 
     def count(self, axis: str, sign: str) -> int:
-        for a, s, n in self.counts:
-            if a == axis and s == sign:
-                return n
-        return 0
+        return self.counts[_OUTCOMES.index((axis, sign))]
+
+    def pair(self, axis: str) -> tuple:
+        """The (up, down) counts along ``axis``."""
+        i = 2 * AXES.index(axis)
+        return self.counts[i:i + 2]
+
+    def outcomes(self) -> tuple:
+        """The (axis, sign, n) triples with n > 0, in the order of counts."""
+        return tuple((a, s, n) for (a, s), n in zip(_OUTCOMES, self.counts) if n)
 
     @property
     def total(self) -> int:
-        return sum(n for _, _, n in self.counts)
+        return sum(self.counts)
 
     def repeat(self, k: int) -> "MeasurementRecord":
         if k < 1:
             raise ValueError("repetition factor must be >= 1")
-        return MeasurementRecord(tuple((a, s, n * k) for a, s, n in self.counts))
+        return MeasurementRecord(tuple(n * k for n in self.counts))
 
     def __add__(self, other: "MeasurementRecord") -> "MeasurementRecord":
-        merged = {}
-        for a, s, n in self.counts + other.counts:
-            merged[(a, s)] = merged.get((a, s), 0) + n
-        return MeasurementRecord.from_counts(merged)
+        return MeasurementRecord(
+            tuple(m + n for m, n in zip(self.counts, other.counts)))
 
     def to_spec_string(self) -> str:
-        return ",".join(f"{a}{s}:{n}" for a, s, n in self.counts) or "(empty)"
+        return ",".join(f"{a}{s}:{n}" for a, s, n in self.outcomes()) \
+            or "(empty)"
 
     def likelihood_xyz(self, x, y, z):
-        comp = {"X": x, "Y": y, "Z": z}
         out = np.ones(np.broadcast(x, y, z).shape)
-        for a, s, n in self.counts:
-            out = out * _outcome_factor(comp[a], s, n)
+        for v, axis in zip((x, y, z), AXES):
+            out = out * _axis_factor(v, *self.pair(axis))
         return out
 
 
 def balanced_six(k: int = 1) -> MeasurementRecord:
     """k ups and k downs along each of the three axes (6k measurements)."""
-    return MeasurementRecord.from_counts(
-        {(a, s): k for a in AXES for s in _SIGNS})
+    return MeasurementRecord((k,) * 6)
 
 
 _TOKEN = re.compile(r"^([XYZ])([+-]):(\d+)$")
@@ -111,7 +128,7 @@ def parse_record(text: str) -> MeasurementRecord:
     """Parse 'X+:1,X-:1,...' or the aliases 'balanced6' / 'balanced6^k'."""
     text = text.strip()
     if not text or text == "(empty)":
-        return MeasurementRecord(())
+        return MeasurementRecord()
     if text.startswith("balanced6"):
         rest = text[len("balanced6"):]
         if rest == "":
@@ -155,30 +172,25 @@ def _direction_grid():
     return dirs, weights
 
 
-def _swap_onto_z(rec: MeasurementRecord, axis: str) -> dict:
-    """The record's counts, {(axis, sign): n}, with ``axis`` and Z exchanged.
-
-    Exchanging two axes is a rotation, so it leaves every average over the
-    sphere unchanged.
-    """
-    swap = {axis: "Z", "Z": axis}
-    return {(swap.get(a, a), s): n for a, s, n in rec.counts}
+# the axes that play X, Y and Z once ``axis`` and Z are exchanged; exchanging
+# two axes is a rotation, so it leaves every average over the sphere unchanged
+_ONTO_Z = {"X": "ZYX", "Y": "XZY", "Z": "XYZ"}
 
 
-def _phi_integral(counts: dict, rho):
-    """Integral over phi of the X and Y factors at in-plane radii ``rho``,
-    an array of any shape.
+def _phi_integral(a: tuple, b: tuple, rho):
+    """Integral over phi of the in-plane factors at in-plane radii ``rho``,
+    an array of any shape: (up, down) pair ``a`` along cos(phi), ``b`` along
+    sin(phi).
 
     Those factors form a trigonometric polynomial in phi of degree N_xy, the
-    X and Y count, so N_xy + 1 equispaced nodes integrate them exactly.
+    in-plane count, so N_xy + 1 equispaced nodes integrate them exactly.
     """
-    m = 1 + sum(n for (a, _), n in counts.items() if a != "Z")
+    m = 1 + sum(a) + sum(b)
     phi = np.arange(m) * (2.0 * math.pi / m)
-    comp = {"X": np.cos(phi), "Y": np.sin(phi)}
     vals = np.ones(rho.shape + (m,))
-    for (a, s), n in counts.items():
-        if a != "Z":
-            vals *= _outcome_factor(rho[..., None] * comp[a], s, n)
+    for pair, comp in ((a, np.cos), (b, np.sin)):
+        if any(pair):
+            vals *= _axis_factor(rho[..., None] * comp(phi), *pair)
     return vals.sum(axis=-1) * (2.0 * math.pi / m)
 
 
@@ -203,15 +215,12 @@ def angular_likelihood_integral(rec: MeasurementRecord, r):
     degree N, the record total, in mu, which floor(N/2) + 1 Gauss-Legendre
     nodes integrate exactly.
     """
-    counts = _swap_onto_z(rec, max(
-        AXES, key=lambda a: rec.count(a, "+") + rec.count(a, "-")))
+    a, b, polar = map(rec.pair, _ONTO_Z[
+        max(AXES, key=lambda axis: sum(rec.pair(axis)))])
     mu, w = _gauss(rec.total // 2 + 1)
     r = _radii(r)
-    lik = _phi_integral(counts, r * np.sqrt((1.0 - mu) * (1.0 + mu)))
-    for (a, s), n in counts.items():
-        if a == "Z":
-            lik = lik * _outcome_factor(r * mu, s, n)
-    return _result(lik @ w)
+    lik = _phi_integral(a, b, r * np.sqrt((1.0 - mu) * (1.0 + mu)))
+    return _result((lik * _axis_factor(r * mu, *polar)) @ w)
 
 
 def angular_likelihood_log_term(rec: MeasurementRecord, r,
@@ -227,7 +236,7 @@ def angular_likelihood_log_term(rec: MeasurementRecord, r,
     nodes then matches a 30-digit oracle to ~1e-12 relative, at every r up
     to 1, on records of up to 300 counts.
     """
-    counts = _swap_onto_z(rec, axis)
+    a, b, (up, down) = map(rec.pair, _ONTO_Z[axis])
     x, w = _gauss(rec.total // 2 + _LOG_EXTRA_NODES)
     r = _radii(r)
     t = 0.5 * (1.0 + x)
@@ -235,10 +244,12 @@ def angular_likelihood_log_term(rec: MeasurementRecord, r,
     # (1 + sign*r*mu)/2 and (1 - sign*r*mu)/2, with sign*mu = 2t^2 - 1
     near = 0.5 * (1.0 - r) + r * t * t
     far = 0.5 * (1.0 - r) + r * omt2
-    lik = _phi_integral(counts, 2.0 * r * t * np.sqrt(omt2))  # r sin(theta)
-    for (a, s), n in counts.items():
-        if a == "Z":
-            lik = lik * (near if s == sign else far) ** n
+    lik = _phi_integral(a, b, 2.0 * r * t * np.sqrt(omt2))  # r sin(theta)
+    plus, minus = (near, far) if sign == "+" else (far, near)
+    if up:
+        lik = lik * plus ** up
+    if down:
+        lik = lik * minus ** down
     # d(mu) = 4t dt, and w/2 are the Gauss weights on [0, 1]
     return _result((lik * np.log(near)) @ (2.0 * w * t))
 
@@ -248,7 +259,7 @@ def angular_likelihood_log_term(rec: MeasurementRecord, r,
 @lru_cache(maxsize=512)
 def _evidence_cached(prior: PriorDensity, rec: MeasurementRecord,
                      cfg: QuadratureConfig) -> float:
-    if not rec.counts:
+    if not rec.total:
         return 1.0
     def w(s):
         r = math.tanh(s / 2.0)

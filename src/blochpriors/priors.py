@@ -5,7 +5,7 @@ The volume element of the metric generated by f is
     r^2 (1 - r^2)^(-1/2) (1 + r)^(-1) / f((1 - r)/(1 + r))  *  sin(theta)
 
 up to normalization.  For every built-in family this reduces to the closed
-form  coef * r^k * (1 - r^2)^alpha * L(r)^m  with L(r) = log((1+r)/(1-r)),
+form  r^k * (1 - r^2)^alpha * L(r)^m  with L(r) = log((1+r)/(1-r)),
 which is what :class:`RadialProfile` encodes.  Densities are normalized so
 that  c * g(r) * sin(theta)  integrates to one over
 d(phi) d(theta) d(r) on the ball of the chosen support radius.
@@ -94,17 +94,16 @@ class BlochPoint:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """coef * r^r_power * (1 - r^2)^boundary_power * L(r)^log_power."""
+    """r^r_power * (1 - r^2)^boundary_power * L(r)^log_power."""
 
     r_power: int
     boundary_power: float
     log_power: int
-    coef: float = 1.0
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         omr2 = (1.0 - r) * (1.0 + r)
-        out = self.coef * r ** self.r_power * omr2 ** self.boundary_power
+        out = r ** self.r_power * omr2 ** self.boundary_power
         if self.log_power:
             out = out * boundary_log(r) ** self.log_power
         return out if np.ndim(out) else float(out)
@@ -113,12 +112,12 @@ class RadialProfile:
     def value_s(self, s: float) -> float:
         r = math.tanh(s / 2.0)
         sech2 = 1.0 / math.cosh(s / 2.0) ** 2
-        return (self.coef * r ** self.r_power * sech2 ** self.boundary_power
+        return (r ** self.r_power * sech2 ** self.boundary_power
                 * s ** self.log_power)
 
     def log_value_s(self, s: float) -> float:
         r = math.tanh(s / 2.0)
-        val = math.log(self.coef) + self.r_power * math.log(r)
+        val = self.r_power * math.log(r)
         val -= 2.0 * self.boundary_power * math.log(math.cosh(s / 2.0))
         if self.log_power:
             val += self.log_power * math.log(s)
@@ -130,7 +129,7 @@ class RadialProfile:
         if omr2 is None:
             omr2 = (1.0 - r) * (1.0 + r)
         k = self.r_power + self.log_power - 2
-        out = self.coef * np.asarray(omr2) ** self.boundary_power
+        out = np.asarray(omr2) ** self.boundary_power
         if k:
             out = out * r ** k
         if self.log_power:
@@ -155,13 +154,13 @@ def _radial_norm_integral(profile: RadialProfile, R: float,
     shape = (profile.r_power, profile.boundary_power, profile.log_power)
     omR2 = (1.0 - R) * (1.0 + R)
     if shape == (2, -0.5, 0):
-        return profile.coef * 0.5 * (math.asin(R) - R * math.sqrt(omR2))
+        return 0.5 * (math.asin(R) - R * math.sqrt(omR2))
     if shape == (2, 0.0, 0):
-        return profile.coef * R ** 3 / 3.0
+        return R ** 3 / 3.0
     if shape == (2, -1.5, 0):
         if R >= 1.0:
             raise ImproperPriorError("r^2 (1-r^2)^(-3/2) diverges at R = 1")
-        return profile.coef * (R / math.sqrt(omR2) - math.asin(R))
+        return R / math.sqrt(omR2) - math.asin(R)
     value, _, _ = quad_s(profile.value_s, R, cfg)
     return value
 

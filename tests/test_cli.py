@@ -134,6 +134,14 @@ def test_usage_errors_exit_2(capsys):
         main(["nosuchcommand"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # an option the command would ignore is a usage error
+    for argv in (["reproduce", "--R", "0.5"], ["reproduce", "--units", "bits"],
+                 ["priors", "--units", "bits"],
+                 ["eval", "--p", "ld", "--units", "bits"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        capsys.readouterr()
 
 
 def test_improper_radius_exits_1(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import time
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -11,8 +12,10 @@ from blochpriors import (QuadratureConfig, balanced_six, make_prior,
                          reproduce, search_min_record)
 from blochpriors import experiments
 from blochpriors.errors import BudgetExceededError, NonConvergenceError
-from blochpriors.experiments import (_candidate_count, _enumerate_counts,
-                                     _orbit_key, _record, _RecordObjective)
+from blochpriors.experiments import (_candidate_count, _orbit_representatives,
+                                     _RecordObjective)
+from blochpriors.measurement import MeasurementRecord
+from blochpriors.quadrature import DEFAULT_CONFIG
 
 B6 = balanced_six()
 
@@ -103,17 +106,13 @@ def test_search_budget_checked_before_enumeration():
     assert time.perf_counter() - start < 5.0
 
 
-@pytest.mark.parametrize("constraint", ["any", "balanced-axes"])
-@pytest.mark.parametrize("max_total", range(7))
-def test_enumeration_matches_product_filter(constraint, max_total):
-    want = {v for v in product(range(max_total + 1), repeat=6)
-            if sum(v) <= max_total and (constraint == "any"
-                                        or v[0] + v[1] == v[2] + v[3]
-                                        == v[4] + v[5])}
-    got = _enumerate_counts(max_total, constraint)
-    assert len(got) == _candidate_count(max_total, constraint)
-    assert set(got) == want
-    assert len(got) == len(want)
+@lru_cache(maxsize=None)
+def _product_filter(max_total, constraint):
+    """Every count vector with total <= max_total under ``constraint``."""
+    return tuple(v for v in product(range(max_total + 1), repeat=6)
+                 if sum(v) <= max_total and (constraint == "any"
+                                             or v[0] + v[1] == v[2] + v[3]
+                                             == v[4] + v[5]))
 
 
 def _signed_permutation_images(vec):
@@ -131,14 +130,28 @@ def _signed_permutation_images(vec):
 
 @pytest.mark.parametrize("constraint", ["any", "balanced-axes"])
 @pytest.mark.parametrize("max_total", range(7))
+def test_enumeration_matches_product_filter(constraint, max_total):
+    """The orbits of the representatives partition the product filter, and
+    their sizes sum to the closed-form candidate count."""
+    orbits = [_signed_permutation_images(rec.counts)
+              for rec in _orbit_representatives(max_total, constraint)]
+    assert sum(map(len, orbits)) == _candidate_count(max_total, constraint)
+    assert len(set().union(*orbits)) == sum(map(len, orbits))
+    assert set().union(*orbits) == set(_product_filter(max_total, constraint))
+
+
+@pytest.mark.parametrize("constraint", ["any", "balanced-axes"])
+@pytest.mark.parametrize("max_total", range(7))
 def test_orbit_key_classes_are_signed_permutation_orbits(constraint,
                                                          max_total):
-    vectors = _enumerate_counts(max_total, constraint)
-    classes = {}
-    for vec in vectors:
-        classes.setdefault(_orbit_key(vec), set()).add(vec)
-    orbits = {_signed_permutation_images(vec) for vec in vectors}
-    assert {frozenset(c) for c in classes.values()} == orbits
+    """Each representative is the least member of its orbit, and each orbit
+    of the product filter has exactly one representative."""
+    reps = [rec.counts
+            for rec in _orbit_representatives(max_total, constraint)]
+    assert all(vec == min(_signed_permutation_images(vec)) for vec in reps)
+    assert sorted(reps) == sorted(
+        {min(_signed_permutation_images(vec))
+         for vec in _product_filter(max_total, constraint)})
 
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
@@ -152,11 +165,37 @@ def test_ranker_matches_adaptive_statistic(pair, objective):
     every orbit up to total 4, so it ranks on the statistic itself."""
     p, q = (make_prior(kind, cfg=TIGHT) for kind in pair)
     obj = _RecordObjective(p, q, objective, TIGHT)
-    orbits = {_orbit_key(vec): vec for vec in _enumerate_counts(4, "any")}
-    for vec in orbits.values():
-        rec = _record(vec)
+    for rec in _orbit_representatives(4, "any"):
         assert obj.value(rec) == pytest.approx(obj.exact_value(rec),
-                                               rel=1e-10, abs=0.0), vec
+                                               rel=1e-10, abs=0.0), rec
+
+
+@pytest.mark.parametrize("objective",
+                         ["posterior-vs-prior", "prior-vs-posterior"])
+@pytest.mark.parametrize("pair", [("km", "sld"), ("ld", "mc"), ("p1", "p2")])
+def test_search_loses_no_record(pair, objective):
+    """Over every record of the product filter, ranked by the search's own
+    objective with the documented tie rule, the search returns the winner
+    and its adaptive value: enumerating one record per orbit drops none."""
+    p, q = (make_prior(kind) for kind in pair)
+    obj = _RecordObjective(p, q, objective, DEFAULT_CONFIG)
+    tops = {"any": 4, "balanced-axes": 9}
+    values = {vec: obj.value(MeasurementRecord(vec))
+              for constraint, top in tops.items()
+              for vec in _product_filter(top, constraint)}
+    for constraint, top in tops.items():
+        for max_total in range(top + 1):
+            vectors = [v for v in _product_filter(top, constraint)
+                       if sum(v) <= max_total]
+            best = min(values[v] for v in vectors)
+            tol = 1e-10 + 1e-9 * abs(best)
+            want = MeasurementRecord(min(
+                (sum(v), v) for v in vectors
+                if abs(values[v] - best) <= tol)[1])
+            rec, val = search_min_record(p, q, max_total, constraint,
+                                         objective)
+            assert rec == want, (constraint, max_total)
+            assert val == obj.exact_value(want)
 
 
 @pytest.mark.parametrize("p, q, max_total, objective, want, value", [

@@ -125,7 +125,7 @@ def test_information_gain_values():
     assert information_gain(_p("km"), zup) == pytest.approx(0.157404, rel=1e-3)
     assert information_gain(_p("sld"), zup) == pytest.approx(
         5.0 / 6.0 - math.log(2.0), rel=1e-9)
-    assert information_gain(_p("mc"), MeasurementRecord(())) == 0.0
+    assert information_gain(_p("mc"), MeasurementRecord()) == 0.0
 
 
 # --- verdicts -----------------------------------------------------------------

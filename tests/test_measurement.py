@@ -11,8 +11,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blochpriors import (BlochPoint, MeasurementRecord, balanced_six,
-                         evidence, likelihood, make_prior, parse_record,
-                         posterior)
+                         evidence, likelihood, make_prior, measurement,
+                         parse_record, posterior)
 from blochpriors.errors import ZeroEvidenceError
 from blochpriors.measurement import (AXES, angular_likelihood_integral,
                                      angular_likelihood_log_term)
@@ -49,7 +49,7 @@ def test_parse_rejects_malformed():
 def test_record_round_trip():
     rec = parse_record("X+:1,Y-:4,Z+:2")
     assert parse_record(rec.to_spec_string()) == rec
-    assert parse_record("") == MeasurementRecord(())
+    assert parse_record("") == MeasurementRecord()
 
 
 def test_repeat_and_add():
@@ -60,6 +60,47 @@ def test_repeat_and_add():
         == parse_record("X+:2,Y-:1")
     with pytest.raises(ValueError):
         b6.repeat(0)
+
+
+def test_record_rejects_what_is_not_six_counts():
+    with pytest.raises(ValueError):
+        MeasurementRecord.from_counts({("X", "+"): 1.5})
+    for bad in ((1, 2, 3), (0,) * 7, (0, 0, -1, 0, 0, 0),
+                (0, 1.0, 0, 0, 0, 0), (0, 0, 0, 0, 0, "1"), [0] * 6):
+        with pytest.raises(ValueError):
+            MeasurementRecord(bad)
+
+
+def test_equal_counts_make_equal_records():
+    """However a record is built, equal counts give an equal record with an
+    equal hash, so the evidence cache serves every spelling of it."""
+    rec = MeasurementRecord((1, 1, 2, 2, 1, 1))
+    spellings = [
+        parse_record("Z-:1,Y+:2,X-:1,Z+:1,Y-:2,X+:1"),
+        MeasurementRecord.from_counts({("Z", "-"): 1, ("Y", "-"): 2,
+                                       ("X", "+"): 1, ("Y", "+"): 2,
+                                       ("X", "-"): 1, ("Z", "+"): 1}),
+        balanced_six() + parse_record("Y+:1,Y-:1"),
+        parse_record("Y+:2,Y-:2") + parse_record("X+:1,X-:1,Z+:1,Z-:1"),
+        parse_record("X+:1,X-:1,Y+:2,Y-:2,Z+:1,Z-:1"),
+    ]
+    for other in spellings:
+        assert other == rec
+        assert hash(other) == hash(rec)
+    twice = balanced_six().repeat(2)
+    assert twice == balanced_six(2) == MeasurementRecord((2,) * 6)
+    assert hash(twice) == hash(MeasurementRecord((2,) * 6))
+    assert MeasurementRecord() == parse_record("") == MeasurementRecord(
+        (0,) * 6)
+    assert rec.outcomes() == (("X", "+", 1), ("X", "-", 1), ("Y", "+", 2),
+                              ("Y", "-", 2), ("Z", "+", 1), ("Z", "-", 1))
+    assert rec.pair("Y") == (2, 2)
+    p = make_prior("ld")
+    evidence(p, parse_record("X+:2,Z-:1"))
+    before = measurement._evidence_cached.cache_info().hits
+    evidence(p, MeasurementRecord.from_counts({("Z", "-"): 1,
+                                               ("X", "+"): 2}))
+    assert measurement._evidence_cached.cache_info().hits == before + 1
 
 
 def test_likelihood_pointwise():
@@ -97,7 +138,7 @@ def test_evidence_truncated_family():
 
 
 def test_empty_record_evidence_is_one():
-    assert evidence(make_prior("sld"), MeasurementRecord(())) == 1.0
+    assert evidence(make_prior("sld"), MeasurementRecord()) == 1.0
 
 
 def test_posterior_pointwise_factorization():
@@ -153,11 +194,11 @@ def test_angular_kernels_match_oracle(spec, r):
     """Both angular kernels against the 30-digit oracle, the log term for
     every outcome of the record."""
     rec = parse_record(spec)
-    counts = {(a, s): n for a, s, n in rec.counts}
+    counts = {(a, s): n for a, s, n in rec.outcomes()}
     want = 4.0 * math.pi * float(sphere_mean_record_likelihood(counts, r))
     assert angular_likelihood_integral(rec, r) == pytest.approx(
         want, rel=1e-12, abs=0.0)
-    for axis, sign, _ in rec.counts:
+    for axis, sign, _ in rec.outcomes():
         want = float(4 * mpmath.pi
                      * sphere_mean_record_log_term(counts, r, axis, sign))
         assert angular_likelihood_log_term(rec, r, axis, sign) \
@@ -180,7 +221,7 @@ def test_angular_kernels_accept_an_array_of_radii(spec):
             assert value == pytest.approx(want, rel=1e-15, abs=0.0)
 
     check(angular_likelihood_integral)
-    for axis, sign, _ in rec.counts:
+    for axis, sign, _ in rec.outcomes():
         check(angular_likelihood_log_term, axis, sign)
 
 
@@ -197,7 +238,7 @@ def test_likelihood_integral_closed_form():
                             / math.factorial(301))
     assert angular_likelihood_integral(parse_record("Z+:150,Z-:150"), 1.0) \
         == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert angular_likelihood_integral(MeasurementRecord(()), 0.7) \
+    assert angular_likelihood_integral(MeasurementRecord(), 0.7) \
         == 4.0 * math.pi
 
 
@@ -217,7 +258,7 @@ def test_angular_kernels_invariant_under_signed_axis_permutations(
     polar axis for different images of the same record."""
     counts = Counter(outcomes)
     rec = MeasurementRecord.from_counts(counts)
-    axis, sign, _ = rec.counts[pick % len(rec.counts)]
+    axis, sign, _ = rec.outcomes()[pick % len(rec.outcomes())]
     integral = angular_likelihood_integral(rec, r)
     log_term = angular_likelihood_log_term(rec, r, axis, sign)
     for perm in permutations(AXES):
