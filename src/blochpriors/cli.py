@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import experiments, infotheory
@@ -29,6 +30,14 @@ def _record(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _add_common(sub, priors=(), record=False, variant=False, units=False,
                 radius=True):
     for flag in priors:
@@ -44,8 +53,8 @@ def _add_common(sub, priors=(), record=False, variant=False, units=False,
         sub.add_argument("--R", type=float, default=None,
                          help="support radius (default 1 for sld/km/mc/ld, "
                               "1-1e-10 for p0/p1/p2)")
-    sub.add_argument("--rel-tol", type=float, default=1e-8)
-    sub.add_argument("--abs-tol", type=float, default=1e-12)
+    sub.add_argument("--rel-tol", type=_tolerance, default=1e-8)
+    sub.add_argument("--abs-tol", type=_tolerance, default=1e-12)
     sub.add_argument("--max-evals", type=int, default=500_000)
     sub.add_argument("--format", choices=("text", "csv", "json"),
                      default="text")

@@ -11,10 +11,12 @@ one-dimensional radial integral:
 * information gain D(Posterior(p) || p) = E_p[L log L] / Z_p - log Z_p,
 
 with L the likelihood, Z the evidence and E_p[.] the prior expectation.
-The angular parts of the expectations come from :mod:`measurement`, at each
-radial node, by rules sized to the record: the sphere integral of L is exact
-for every record, and that of L log((1 +/- s_axis)/2), summed into
-E_p[L log L], is good to ~1e-12 relative.
+Each expectation is one call of ``PriorDensity.integrate``, the only
+radial integrator, given the integral over the sphere at each radius.  The
+angular parts come from :mod:`measurement`, by rules sized to the record:
+the sphere integral of L is exact for every record, and that of
+L log((1 +/- s_axis)/2), summed into E_p[L log L], is good to ~1e-12
+relative.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from .measurement import (MeasurementRecord, angular_likelihood_integral,
                           angular_likelihood_log_term, evidence)
 from .priors import PriorDensity, boundary_log
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, _quad,
-                         crossover_root, evaluation_count, quad_s)
+                         crossover_root, evaluation_count)
+# bound, unused, for perfbench's test_tracer_restores_names_and_reports_absent
+from .quadrature import quad_s  # noqa: F401
 
 __all__ = [
     "NATS_TO_BITS",
@@ -93,14 +97,9 @@ def _relative_entropy_cached(p: PriorDensity, q: PriorDensity,
                              cfg: QuadratureConfig) -> float:
     if p == q:
         return 0.0
-
-    def w(s):
-        lp = p.log_radial_density_s(s)
-        lq = q.log_radial_density_s(s)
-        return math.exp(lp) * (lp - lq)
-
-    value, _, _ = quad_s(w, p.support_radius, cfg)
-    return 4.0 * math.pi * value
+    return 4.0 * math.pi * p.integrate(
+        lambda r, s: p.log_radial_density_s(s) - q.log_radial_density_s(s),
+        cfg)
 
 
 def relative_entropy(p: PriorDensity, q: PriorDensity,
@@ -111,30 +110,26 @@ def relative_entropy(p: PriorDensity, q: PriorDensity,
     return _relative_entropy_cached(p, q, cfg)
 
 
+def _polar_log_term(r: float, s: float) -> float:
+    """T(r) = Int_{-1}^{1} log((1 + r*mu)/2) dmu, written without
+    cancellation near r = 1 using 1+r = 2/(1+e^-s), 1-r = 2e^-s/(1+e^-s)."""
+    if r < 1e-8:
+        return -2.0 * math.log(2.0)
+    log_1p = math.log(2.0) - math.log1p(math.exp(-s))
+    log_1m = log_1p - s
+    op = 2.0 / (1.0 + math.exp(-s))
+    om = op * math.exp(-s)
+    return (op * (log_1p - 1.0) - om * (log_1m - 1.0)) / r \
+        - 2.0 * math.log(2.0)
+
+
 @lru_cache(maxsize=64)
-def _log_likelihood_radial_integral(p: PriorDensity,
-                                    cfg: QuadratureConfig) -> float:
-    """Int g_p(s) T(r(s)) ds, with T(r) the integral over mu of the log
-    probability of one outcome along the polar axis.  It does not depend on
-    the record: E_p[log L] of a single measurement is 2*pi*c_p times it."""
-
-    def w(s):
-        # T(r) = Int_{-1}^{1} log((1 + r*mu)/2) dmu, written without
-        # cancellation near r = 1 using 1+r = 2/(1+e^-s), 1-r = 2e^-s/(1+e^-s)
-        r = math.tanh(s / 2.0)
-        if r < 1e-8:
-            T = -2.0 * math.log(2.0)
-        else:
-            log_1p = math.log(2.0) - math.log1p(math.exp(-s))
-            log_1m = log_1p - s
-            op = 2.0 / (1.0 + math.exp(-s))
-            om = op * math.exp(-s)
-            T = (op * (log_1p - 1.0) - om * (log_1m - 1.0)) / r \
-                - 2.0 * math.log(2.0)
-        return p.profile.value_s(s) * T
-
-    value, _, _ = quad_s(w, p.support_radius, cfg)
-    return value
+def _log_likelihood_per_count(p: PriorDensity,
+                              cfg: QuadratureConfig) -> float:
+    """E_p[log L] of a single measurement, 2*pi E_p[T(r)] along the polar
+    axis.  By spherical symmetry every outcome contributes the same, so a
+    record's E_p[log L] is its total times this."""
+    return 2.0 * math.pi * p.integrate(_polar_log_term, cfg)
 
 
 @lru_cache(maxsize=1024)
@@ -145,8 +140,7 @@ def _expected_log_likelihood(p: PriorDensity, rec: MeasurementRecord,
     total = rec.total
     if total == 0:
         return 0.0
-    value = _log_likelihood_radial_integral(p, cfg)
-    return total * 2.0 * math.pi * p.normalization * value
+    return total * _log_likelihood_per_count(p, cfg)
 
 
 @lru_cache(maxsize=1024)
@@ -154,15 +148,9 @@ def _expected_likelihood_log_ratio(p: PriorDensity, q: PriorDensity,
                                    rec: MeasurementRecord,
                                    cfg: QuadratureConfig) -> float:
     """E_p[L * log(p/q)]; the log ratio is radial, the likelihood is not."""
-
-    def w(s):
-        r = math.tanh(s / 2.0)
-        ratio = p.log_radial_density_s(s) - q.log_radial_density_s(s)
-        return (p.profile.value_s(s)
-                * angular_likelihood_integral(rec, r) * ratio)
-
-    value, _, _ = quad_s(w, p.support_radius, cfg)
-    return p.normalization * value
+    return p.integrate(
+        lambda r, s: angular_likelihood_integral(rec, r)
+        * (p.log_radial_density_s(s) - q.log_radial_density_s(s)), cfg)
 
 
 @lru_cache(maxsize=1024)
@@ -170,16 +158,9 @@ def _expected_likelihood_log_likelihood(p: PriorDensity,
                                         rec: MeasurementRecord,
                                         cfg: QuadratureConfig) -> float:
     """E_p[L log L] = sum over outcomes of n * E_p[L * log((1 +/- s_axis)/2)]."""
-    total = 0.0
-    for axis, sign, n in rec.outcomes():
-        def w(s, axis=axis, sign=sign):
-            r = math.tanh(s / 2.0)
-            return (p.profile.value_s(s)
-                    * angular_likelihood_log_term(rec, r, axis, sign))
-
-        value, _, _ = quad_s(w, p.support_radius, cfg)
-        total += n * p.normalization * value
-    return total
+    return sum(n * p.integrate(
+        lambda r, s, axis=axis, sign=sign: angular_likelihood_log_term(
+            rec, r, axis, sign), cfg) for axis, sign, n in rec.outcomes())
 
 
 def _prior_vs_posterior(d_pq: float, e_log_lik: float, Zq: float) -> float:
@@ -320,13 +301,7 @@ def noninformativity_verdict(p: PriorDensity, q: PriorDensity,
 
 def variance_z(p: PriorDensity, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Second moment of the polar Cartesian component (its mean is zero)."""
-
-    def w(s):
-        r = math.tanh(s / 2.0)
-        return p.profile.value_s(s) * r * r
-
-    value, _, _ = quad_s(w, p.support_radius, cfg)
-    return (4.0 * math.pi / 3.0) * p.normalization * value
+    return (4.0 * math.pi / 3.0) * p.integrate(lambda r, s: r * r, cfg)
 
 
 def crossover_radius(p: PriorDensity, q: PriorDensity,

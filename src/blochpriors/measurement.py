@@ -18,7 +18,9 @@ import numpy as np
 
 from .errors import ZeroEvidenceError
 from .priors import BlochPoint, PriorDensity
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _gauss, quad_s
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _gauss
+# bound, unused, for perfbench's test_tracer_restores_names_and_reports_absent
+from .quadrature import quad_s  # noqa: F401
 
 __all__ = [
     "AXES",
@@ -261,11 +263,8 @@ def _evidence_cached(prior: PriorDensity, rec: MeasurementRecord,
                      cfg: QuadratureConfig) -> float:
     if not rec.total:
         return 1.0
-    def w(s):
-        r = math.tanh(s / 2.0)
-        return prior.profile.value_s(s) * angular_likelihood_integral(rec, r)
-    value, _, _ = quad_s(w, prior.support_radius, cfg)
-    return prior.normalization * value
+    return prior.integrate(lambda r, s: angular_likelihood_integral(rec, r),
+                           cfg)
 
 
 def evidence(prior: PriorDensity, rec: MeasurementRecord,

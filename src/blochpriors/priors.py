@@ -188,6 +188,19 @@ class PriorDensity:
     def log_radial_density_s(self, s: float) -> float:
         return math.log(self.normalization) + self.profile.log_value_s(s)
 
+    def integrate(self, h, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+        """c * Int_0^R g(r) h(r, s) dr, with s = log((1+r)/(1-r)).
+
+        When h(r, s) is the integral of f over d(mu) d(phi) at radius r,
+        this is E_p[f].  Every prior-weighted radial integral of the
+        package is taken here, by :func:`quad_s`.
+        """
+        def w(s):
+            return self.profile.value_s(s) * h(math.tanh(s / 2.0), s)
+
+        value, _, _ = quad_s(w, self.support_radius, cfg)
+        return self.normalization * value
+
     def density_at(self, pt: BlochPoint, convention: str = "spherical"):
         """Density at a point, in the requested volume convention."""
         r = pt.r

@@ -9,7 +9,10 @@ endpoint behaviour onto a smooth integrand on ``[0, S]`` and, crucially,
 lets ``1 - r^2`` be computed without cancellation even within ``1e-10`` of
 the boundary.
 
-The statistics' angular integrals are done at each radial node by the
+Every prior-weighted radial integral goes through :func:`quad_s`, called
+by ``PriorDensity.integrate`` in :mod:`priors`.  Record search ranks on
+the fixed Gauss-Legendre rule in s of :func:`_s_rule` instead.  The
+statistics' angular integrals are done at each radial node by the
 record-sized rules in :mod:`measurement`, which take their Gauss-Legendre
 nodes from :func:`_gauss`.
 """
@@ -53,8 +56,9 @@ class QuadratureConfig:
     max_evaluations: int = 500_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf
+                   for tol in (self.rel_tol, self.abs_tol)):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_evaluations < 21:
             raise ValueError("max_evaluations below minimum rule size")
 
@@ -101,6 +105,17 @@ def quad_s(w_s: Callable[[float], float], R: float,
 def _gauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
+
+
+@lru_cache(maxsize=8)
+def _s_rule(R: float, n: int):
+    """The n-node Gauss-Legendre rule in s on [0, _s_limit(R)] for
+    integrals in r over [0, R]: ``(s, r, weights)``, the jacobian
+    dr/ds = sech(s/2)^2/2 folded into the weights."""
+    x, w = _gauss(n)
+    S = _s_limit(R)
+    s = 0.5 * S * (x + 1.0)
+    return s, np.tanh(s / 2.0), 0.5 * S * w * (0.5 / np.cosh(s / 2.0) ** 2)
 
 
 def crossover_root(h, a: float, b: float, tol: float = 1e-10) -> float:

@@ -238,22 +238,20 @@ def _evidence(kind, items):
     """E_k[L] at the default radius of ``kind``, an mpf.
 
     At each radius the sphere average of L is the exact polynomial of
-    :func:`_likelihood_polynomial`, summed with N + 10 guard digits for a
-    record total N: its terms cancel, as in
-    :func:`sphere_mean_record_log_term`.
+    :func:`_likelihood_polynomial`.  Its terms cancel, as in
+    :func:`sphere_mean_record_log_term`, so the whole integrand, r
+    included, is evaluated with N + 10 guard digits for a record total N:
+    an r good to DPS digits alone leaves the sum too noisy for the
+    quadrature's error check from N ~ 36 on.
     """
     poly, n = _likelihood_polynomial(items)
-    guarded = DPS + n + 10
-    with mpmath.workdps(guarded):
-        terms = [(d, mpmath.mpf(c.numerator) / c.denominator)
-                 for d, c in poly.items()]
-    with mpmath.workdps(DPS):
-        def mean(r):
-            with mpmath.workdps(guarded):
-                return mpmath.fsum(c * r ** d for d, c in terms)
-
+    with mpmath.workdps(DPS + n + 10):
+        # the coefficients in r^2, highest power first, for Horner's rule
+        coeffs = [poly.get(d, 0) for d in range(2 * (n // 2), -1, -2)]
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
         return _integrate(lambda s, r, omr2: _BARE[kind](r, omr2, s)
-                          * mean(r), kind) / _mass(kind)
+                          * mpmath.polyval(coeffs, r * r),
+                          kind) / _mass(kind)
 
 
 def record_evidence(kind, counts):

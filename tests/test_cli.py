@@ -142,6 +142,13 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
+    # a tolerance must be a finite positive number; the message names it
+    for option, value in (("--abs-tol", "inf"), ("--rel-tol", "nan"),
+                          ("--rel-tol", "-inf"), ("--abs-tol", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["kl", "--p", "sld", "--q", "km", option, value])
+        assert exc.value.code == 2, (option, value)
+        assert option in capsys.readouterr().err
 
 
 def test_improper_radius_exits_1(capsys):

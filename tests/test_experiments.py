@@ -7,10 +7,11 @@ from itertools import permutations, product
 
 import pytest
 
-from blochpriors import (QuadratureConfig, balanced_six, make_prior,
-                         parse_record, relative_entropy, repeat_sweep,
+from blochpriors import (PosteriorSide, QuadratureConfig, balanced_six,
+                         make_prior, parse_record, relative_entropy,
+                         relative_entropy_vs_posterior, repeat_sweep,
                          reproduce, search_min_record)
-from blochpriors import experiments
+from blochpriors import experiments, infotheory
 from blochpriors.errors import BudgetExceededError, NonConvergenceError
 from blochpriors.experiments import (_candidate_count, _orbit_representatives,
                                      _RecordObjective)
@@ -162,12 +163,17 @@ TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
 @pytest.mark.parametrize("pair", [("km", "sld"), ("mc", "km"), ("p1", "p2")])
 def test_ranker_matches_adaptive_statistic(pair, objective):
     """The search ranker agrees with the adaptive statistic on one record of
-    every orbit up to total 4, so it ranks on the statistic itself."""
+    every orbit up to total 4, so it ranks on, and returns, the statistic
+    itself."""
     p, q = (make_prior(kind, cfg=TIGHT) for kind in pair)
     obj = _RecordObjective(p, q, objective, TIGHT)
+    side = (PosteriorSide.SECOND_IS_POSTERIOR
+            if objective == "prior-vs-posterior"
+            else PosteriorSide.FIRST_IS_POSTERIOR)
     for rec in _orbit_representatives(4, "any"):
-        assert obj.value(rec) == pytest.approx(obj.exact_value(rec),
-                                               rel=1e-10, abs=0.0), rec
+        assert obj.value(rec) == pytest.approx(
+            relative_entropy_vs_posterior(p, q, rec, side, TIGHT),
+            rel=1e-12, abs=0.0), rec
 
 
 @pytest.mark.parametrize("objective",
@@ -176,7 +182,8 @@ def test_ranker_matches_adaptive_statistic(pair, objective):
 def test_search_loses_no_record(pair, objective):
     """Over every record of the product filter, ranked by the search's own
     objective with the documented tie rule, the search returns the winner
-    and its adaptive value: enumerating one record per orbit drops none."""
+    and the value it ranked by: enumerating one record per orbit drops
+    none."""
     p, q = (make_prior(kind) for kind in pair)
     obj = _RecordObjective(p, q, objective, DEFAULT_CONFIG)
     tops = {"any": 4, "balanced-axes": 9}
@@ -195,7 +202,23 @@ def test_search_loses_no_record(pair, objective):
             rec, val = search_min_record(p, q, max_total, constraint,
                                          objective)
             assert rec == want, (constraint, max_total)
-            assert val == obj.exact_value(want)
+            assert val == obj.value(want)
+
+
+def test_search_evaluates_no_adaptive_statistic(monkeypatch):
+    """The search returns the ranker's own value: it never calls the
+    adaptive statistic."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("search called relative_entropy_vs_posterior")
+
+    for module in (infotheory, experiments):
+        monkeypatch.setattr(module, "relative_entropy_vs_posterior", refuse)
+    # pairs whose winner is not the empty record, whose value is D(p || q)
+    for pair, objective in ((("km", "sld"), "posterior-vs-prior"),
+                            (("ld", "mc"), "prior-vs-posterior")):
+        p, q = (make_prior(kind) for kind in pair)
+        rec, val = search_min_record(p, q, 6, "balanced-axes", objective)
+        assert rec == B6 and math.isfinite(val)
 
 
 @pytest.mark.parametrize("p, q, max_total, objective, want, value", [

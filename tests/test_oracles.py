@@ -5,8 +5,10 @@ from decimal import Decimal
 import mpmath
 import pytest
 
+from blochpriors import QuadratureConfig, evidence, make_prior, parse_record
 from blochpriors import reproduce
-from oracles import (ERRATA, sphere_mean_likelihood,
+from oracles import (ERRATA, _evidence, _likelihood_polynomial,
+                     record_evidence, sphere_mean_likelihood,
                      sphere_mean_log_likelihood, sphere_mean_record_likelihood,
                      sphere_mean_record_log_term, truncated_balanced6)
 
@@ -76,3 +78,24 @@ def test_truncated_oracle_rounds_to_published_values():
         ).exponent
         off = abs(row.paper_value - oracle[row.quantity_id])
         assert (off > half_unit) == (row.quantity_id in ERRATA), row
+
+
+def test_evidence_oracle_on_large_records():
+    """The oracle's evidence passes its own error check on records of up to
+    120 counts: for ld it is the exact rational 3 sum_d c_d/(d + 3) of the
+    likelihood polynomial, and the package at a tight config agrees with it
+    for five priors on a 90-count record."""
+    large = parse_record("X+:7,X-:15,Y+:7,Y-:12,Z+:19,Z-:30")
+    for spec in ("balanced6^8", large.to_spec_string(), "balanced6^20"):
+        items = tuple(sorted(((axis, sign), n) for axis, sign, n
+                             in parse_record(spec).outcomes()))
+        poly, _ = _likelihood_polynomial(items)
+        exact = 3 * sum(c / (d + 3) for d, c in poly.items())
+        with mpmath.workdps(60):
+            exact = mpmath.mpf(exact.numerator) / exact.denominator
+            assert abs(_evidence("ld", items) - exact) <= 1e-25 * exact, spec
+    tight = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
+    counts = {(axis, sign): n for axis, sign, n in large.outcomes()}
+    for kind in ("ld", "sld", "km", "mc", "p0"):
+        assert evidence(make_prior(kind, cfg=tight), large, tight) \
+            == pytest.approx(record_evidence(kind, counts), rel=1e-10), kind

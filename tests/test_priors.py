@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
-                         density_matrix, kubo_mori_function,
+                         QuadratureConfig, density_matrix, kubo_mori_function,
                          larson_dukes_generator, make_prior, petz_function,
                          sld_function, volume_element)
 from blochpriors.errors import ImproperPriorError, OutOfSupportError
@@ -106,6 +106,22 @@ def test_prior_integrates_to_one(kind):
     the 30-digit mass of g in oracles.py."""
     assert make_prior(kind).normalization == pytest.approx(
         normalization(kind), rel=1e-12)
+
+
+TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
+
+
+@pytest.mark.parametrize("kind", PRIOR_LABELS)
+def test_integrate_is_the_prior_expectation(kind):
+    """4 pi p.integrate(h) is E_p[h(r)]: 1 for h = 1, and E_p[z^2], a third
+    of E_p[r^2], in closed form for sld, ld and km."""
+    p = make_prior(kind, cfg=TIGHT)
+    assert 4.0 * math.pi * p.integrate(lambda r, s: 1.0, TIGHT) \
+        == pytest.approx(1.0, rel=1e-12)
+    var_z = {"sld": 1.0 / 4.0, "ld": 1.0 / 5.0, "km": 5.0 / 18.0}
+    if kind in var_z:
+        assert 4.0 * math.pi / 3.0 * p.integrate(lambda r, s: r * r, TIGHT) \
+            == pytest.approx(var_z[kind], rel=1e-12)
 
 
 def test_density_conventions_consistent():

@@ -83,5 +83,10 @@ def test_crossover_root_requires_sign_change():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(rel_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(abs_tol=bad)
     with pytest.raises(ValueError):
         QuadratureConfig(max_evaluations=5)
