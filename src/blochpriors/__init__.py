@@ -12,8 +12,7 @@ from .functions import (MonotoneFunction, MonotoneFunctionReport,
                         sld_function)
 from .quadrature import QuadratureConfig, crossover_root
 from .priors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
-                     PriorDensity, RadialProfile, density_matrix, make_prior,
-                     volume_element)
+                     PriorDensity, RadialProfile, make_prior, volume_element)
 from .measurement import (MeasurementRecord, PosteriorDensity, balanced_six,
                           evidence, likelihood, parse_record, posterior)
 from .infotheory import (NATS_TO_BITS, ComparisonReport, PosteriorSide,
@@ -36,8 +35,7 @@ __all__ = [
     "morozova_chentsov_function", "petz_function", "sld_function",
     "QuadratureConfig", "crossover_root",
     "DEFAULT_TRUNCATION_RADIUS", "PRIOR_LABELS", "BlochPoint",
-    "PriorDensity", "RadialProfile", "density_matrix", "make_prior",
-    "volume_element",
+    "PriorDensity", "RadialProfile", "make_prior", "volume_element",
     "MeasurementRecord", "PosteriorDensity", "balanced_six", "evidence",
     "likelihood", "parse_record", "posterior",
     "NATS_TO_BITS", "ComparisonReport", "PosteriorSide", "Variant",

@@ -18,7 +18,7 @@ from .errors import BlochPriorsError
 from .infotheory import NATS_TO_BITS, Variant
 from .measurement import parse_record
 from .priors import PRIOR_LABELS, BlochPoint, make_prior
-from .quadrature import QuadratureConfig
+from .quadrature import MIN_EVALUATIONS, QuadratureConfig
 
 __all__ = ["main"]
 
@@ -35,6 +35,14 @@ def _tolerance(text: str) -> float:
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"expected a finite positive number, got {text!r}")
+    return value
+
+
+def _max_evals(text: str) -> int:
+    value = int(text)
+    if value < MIN_EVALUATIONS:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {MIN_EVALUATIONS}, got {text!r}")
     return value
 
 
@@ -55,7 +63,7 @@ def _add_common(sub, priors=(), record=False, variant=False, units=False,
                               "1-1e-10 for p0/p1/p2)")
     sub.add_argument("--rel-tol", type=_tolerance, default=1e-8)
     sub.add_argument("--abs-tol", type=_tolerance, default=1e-12)
-    sub.add_argument("--max-evals", type=int, default=500_000)
+    sub.add_argument("--max-evals", type=_max_evals, default=500_000)
     sub.add_argument("--format", choices=("text", "csv", "json"),
                      default="text")
     if units:

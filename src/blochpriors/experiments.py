@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -75,32 +76,43 @@ def repeat_sweep(p: PriorDensity, q: PriorDensity, base: MeasurementRecord,
 
 # --- record-sized objective for record enumeration -------------------------
 
+# nodes of the fixed radial rule that search ranks on
+_N_S = 160
+
+# the most records (not orbits) one search may enumerate
+_CANDIDATE_CAP = 200_000
+
+
+@lru_cache(maxsize=32)
+def _radial_table(prior: PriorDensity):
+    """``(r, weights, log density)`` of the prior on the _N_S-node rule of
+    :func:`quadrature._s_rule`: ``weights @ h(r)`` is c * Int g(r) h(r) dr,
+    as ``prior.integrate`` takes it."""
+    s, r, w = _s_rule(prior.support_radius, _N_S)
+    weights = prior.normalization * np.array(
+        [prior.profile.value_s(v) for v in s]) * w
+    return r, weights, np.array([prior.log_radial_density_s(v) for v in s])
+
+
 class _RecordObjective:
     """Evaluates one divergence objective over many candidate records.
 
-    The prior weights on the 160-node rule of :func:`quadrature._s_rule`
-    are built once; each record then costs one call of each record-sized
-    angular kernel of :mod:`measurement` (and one log term per outcome for
-    posterior-vs-prior) on all 160 radii at once.  The angular part is
-    exact or good to ~1e-12, as in the adaptive statistics, and at the
-    tight config the value agrees with
+    Each record costs one call of each record-sized angular kernel of
+    :mod:`measurement` (and one log term per outcome for posterior-vs-prior)
+    on all radii of the priors' :func:`_radial_table` at once.  The angular
+    part is exact or good to ~1e-12, as in the adaptive statistics, and at
+    the tight config the value agrees with
     :func:`infotheory.relative_entropy_vs_posterior` to 1e-12 relative on
     every record up to total 4.  ``cfg`` sets D(p || q) and the per-count
     E_p[log L], which do not depend on the record.
     """
 
-    _N_S = 160
-
     def __init__(self, p: PriorDensity, q: PriorDensity, objective: str,
                  cfg: QuadratureConfig):
         self.objective = objective
-        s, self.r, w = _s_rule(p.support_radius, self._N_S)
-        self.wp, self.wq = (
-            prior.normalization * np.array([prior.profile.value_s(v)
-                                            for v in s]) * w
-            for prior in (p, q))
-        self.log_ratio = np.array(
-            [p.log_radial_density_s(v) - q.log_radial_density_s(v) for v in s])
+        self.r, self.wp, log_p = _radial_table(p)
+        _, self.wq, log_q = _radial_table(q)
+        self.log_ratio = log_p - log_q
         self.d_pq = relative_entropy(p, q, cfg)
         self.per_count_log = infotheory._log_likelihood_per_count(p, cfg)
 
@@ -152,15 +164,15 @@ def _orbit_representatives(max_total: int, constraint: str):
 def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
                       constraint: str = "balanced-axes",
                       objective: str = "posterior-vs-prior",
-                      cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      candidate_cap: int = 200_000):
+                      cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Minimize a divergence objective over measurement records.
 
     ``objective`` selects D(Posterior(p, rec) || q) ("posterior-vs-prior",
     default) or D(p || Posterior(q, rec)) ("prior-vs-posterior").  Records
     with total count up to ``max_total`` are enumerated exhaustively;
-    ``constraint="balanced-axes"`` keeps the per-axis totals equal.
-    ``candidate_cap`` bounds the number of records, not of orbits.
+    ``constraint="balanced-axes"`` keeps the per-axis totals equal.  More
+    than ``_CANDIDATE_CAP`` records (not orbits) raise
+    :class:`BudgetExceededError` before any is built.
 
     Both priors are spherically symmetric, so records related by one of the
     48 signed axis permutations share the objective: only the least record
@@ -180,9 +192,9 @@ def search_min_record(p: PriorDensity, q: PriorDensity, max_total: int,
         raise ValueError(f"unknown objective {objective!r}")
     infotheory._check_common_support(p, q)
     n = _candidate_count(max_total, constraint)
-    if n > candidate_cap:
+    if n > _CANDIDATE_CAP:
         raise BudgetExceededError(
-            f"{n} candidate records exceed the cap {candidate_cap}")
+            f"{n} candidate records exceed the cap {_CANDIDATE_CAP}")
     obj = _RecordObjective(p, q, objective, cfg)
     values = {rec: obj.value(rec)
               for rec in _orbit_representatives(max_total, constraint)}

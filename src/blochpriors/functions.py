@@ -25,6 +25,8 @@ __all__ = [
     "check_monotone_function",
 ]
 
+_CHECK_GRID_POINTS = 241     # points of check_monotone_function's grid
+
 # removable singularities at t = 1 are bridged by series inside this window
 _SERIES_WINDOW = 1e-6
 
@@ -128,14 +130,14 @@ class MonotoneFunctionReport:
     scalar_monotone: bool
 
 
-def check_monotone_function(f: MonotoneFunction,
-                            grid_points: int = 241) -> MonotoneFunctionReport:
+def check_monotone_function(f: MonotoneFunction) -> MonotoneFunctionReport:
     """Check f(1) = 1, the symmetry f(t) = t f(1/t), and monotonicity.
 
-    All checks run on a log-spaced grid over [1e-6, 1e6]; monotonicity is
-    the scalar necessary condition only.  Evaluation errors propagate.
+    All checks run on a log-spaced grid of _CHECK_GRID_POINTS points over
+    [1e-6, 1e6]; monotonicity is the scalar necessary condition only.
+    Evaluation errors propagate.
     """
-    t = np.logspace(-6.0, 6.0, grid_points)
+    t = np.logspace(-6.0, 6.0, _CHECK_GRID_POINTS)
     ft = np.asarray(f(t), dtype=float)
     f_inv = np.asarray(f(1.0 / t), dtype=float)
 

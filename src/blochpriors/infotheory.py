@@ -8,7 +8,7 @@ one-dimensional radial integral:
 * D(p || Posterior(q, rec)) = D(p || q) - E_p[log L] + log Z_q;
 * D(Posterior(p, rec) || q)
       = (E_p[L log(p/q)] + E_p[L log L]) / Z_p - log Z_p;
-* information gain D(Posterior(p) || p) = E_p[L log L] / Z_p - log Z_p,
+* information gain D(Posterior(p) || p), the case q = p of the line above,
 
 with L the likelihood, Z the evidence and E_p[.] the prior expectation.
 Each expectation is one call of ``PriorDensity.integrate``, the only
@@ -77,17 +77,13 @@ class PosteriorSide(enum.Enum):
     FIRST_IS_POSTERIOR = "FirstIsPosterior"
 
 
-def _check_common_support(p: PriorDensity, q: PriorDensity,
-                          force: bool = False) -> None:
-    """Require equal support radii; with ``force`` allow R_p <= R_q."""
+def _check_common_support(p: PriorDensity, q: PriorDensity) -> None:
+    """Require equal support radii."""
     Rp, Rq = p.support_radius, q.support_radius
-    if abs(Rp - Rq) <= 1e-12:
-        return
-    if force and Rp < Rq:
-        return
-    raise SupportMismatchError(
-        f"support radii differ ({Rp} vs {Rq}); the divergence would be "
-        "infinite or ill-defined")
+    if abs(Rp - Rq) > 1e-12:
+        raise SupportMismatchError(
+            f"support radii differ ({Rp} vs {Rq}); the divergence would be "
+            "infinite or ill-defined")
 
 
 # --- radial expectation helpers ---------------------------------------------
@@ -103,10 +99,9 @@ def _relative_entropy_cached(p: PriorDensity, q: PriorDensity,
 
 
 def relative_entropy(p: PriorDensity, q: PriorDensity,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG,
-                     force: bool = False) -> float:
+                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """D(p || q) in nats for two built-in (spherically symmetric) priors."""
-    _check_common_support(p, q, force)
+    _check_common_support(p, q)
     return _relative_entropy_cached(p, q, cfg)
 
 
@@ -135,12 +130,10 @@ def _log_likelihood_per_count(p: PriorDensity,
 @lru_cache(maxsize=1024)
 def _expected_log_likelihood(p: PriorDensity, rec: MeasurementRecord,
                              cfg: QuadratureConfig) -> float:
-    """E_p[log L].  By spherical symmetry every single measurement
-    contributes the same expectation, computed along the polar axis."""
-    total = rec.total
-    if total == 0:
+    """E_p[log L], the record's total times the per-count expectation."""
+    if not rec.total:
         return 0.0
-    return total * _log_likelihood_per_count(p, cfg)
+    return rec.total * _log_likelihood_per_count(p, cfg)
 
 
 @lru_cache(maxsize=1024)
@@ -148,6 +141,8 @@ def _expected_likelihood_log_ratio(p: PriorDensity, q: PriorDensity,
                                    rec: MeasurementRecord,
                                    cfg: QuadratureConfig) -> float:
     """E_p[L * log(p/q)]; the log ratio is radial, the likelihood is not."""
+    if p == q:
+        return 0.0
     return p.integrate(
         lambda r, s: angular_likelihood_integral(rec, r)
         * (p.log_radial_density_s(s) - q.log_radial_density_s(s)), cfg)
@@ -178,10 +173,10 @@ def relative_entropy_vs_posterior(p: PriorDensity, q: PriorDensity,
                                   rec: MeasurementRecord,
                                   side: PosteriorSide
                                   = PosteriorSide.SECOND_IS_POSTERIOR,
-                                  cfg: QuadratureConfig = DEFAULT_CONFIG,
-                                  force: bool = False) -> float:
+                                  cfg: QuadratureConfig = DEFAULT_CONFIG
+                                  ) -> float:
     """D(p || Posterior(q, rec)) or D(Posterior(p, rec) || q) per ``side``."""
-    _check_common_support(p, q, force)
+    _check_common_support(p, q)
     if side is PosteriorSide.SECOND_IS_POSTERIOR:
         Zq = evidence(q, rec, cfg)
         return _prior_vs_posterior(_relative_entropy_cached(p, q, cfg),
@@ -197,11 +192,8 @@ def relative_entropy_vs_posterior(p: PriorDensity, q: PriorDensity,
 def information_gain(p: PriorDensity, rec: MeasurementRecord,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """D(Posterior(p, rec) || p): what the record teaches about the state."""
-    if not rec.total:
-        return 0.0
-    Z = evidence(p, rec, cfg)
-    return _posterior_vs_prior(_expected_likelihood_log_likelihood(p, rec, cfg),
-                               Z)
+    return relative_entropy_vs_posterior(
+        p, p, rec, PosteriorSide.FIRST_IS_POSTERIOR, cfg)
 
 
 # --- the decision rule -------------------------------------------------------
@@ -248,11 +240,16 @@ def _paired_rule(rise: float, base_rise: float,
             and fall < base_fall - VERDICT_MARGIN)
 
 
+# the posterior side of both of a variant's posterior statistics
+_VARIANT_SIDE = {Variant.PAPER: PosteriorSide.SECOND_IS_POSTERIOR,
+                 Variant.CLARKE: PosteriorSide.FIRST_IS_POSTERIOR}
+
+
 def noninformativity_verdict(p: PriorDensity, q: PriorDensity,
                              rec: MeasurementRecord,
                              variant: Variant = Variant.PAPER,
-                             cfg: QuadratureConfig = DEFAULT_CONFIG,
-                             force: bool = False) -> ComparisonReport:
+                             cfg: QuadratureConfig = DEFAULT_CONFIG
+                             ) -> ComparisonReport:
     """Decide which prior is more noninformative from four divergences.
 
     The first prior is more noninformative when conditioning the *other*
@@ -261,35 +258,24 @@ def noninformativity_verdict(p: PriorDensity, q: PriorDensity,
     (D(q || Post_p) falls below D(q || p)).  The Clarke-strict variant puts
     the posterior on the other side of each divergence instead.
     """
-    _check_common_support(p, q, force)
+    if variant not in _VARIANT_SIDE:
+        raise ValueError(f"unknown variant {variant!r}")
+    side = _VARIANT_SIDE[variant]
     before = evaluation_count()
-    d_pq = relative_entropy(p, q, cfg, force=force)
-    d_qp = relative_entropy(q, p, cfg, force=force)
-    if variant is Variant.PAPER:
-        d_p_post_q = relative_entropy_vs_posterior(
-            p, q, rec, PosteriorSide.SECOND_IS_POSTERIOR, cfg, force=force)
-        d_q_post_p = relative_entropy_vs_posterior(
-            q, p, rec, PosteriorSide.SECOND_IS_POSTERIOR, cfg, force=force)
-        first = _paired_rule(d_p_post_q, d_pq, d_q_post_p, d_qp)
-        second = _paired_rule(d_q_post_p, d_qp, d_p_post_q, d_pq)
-    elif variant is Variant.CLARKE:
-        d_p_post_q = relative_entropy_vs_posterior(
-            p, q, rec, PosteriorSide.FIRST_IS_POSTERIOR, cfg, force=force)
-        d_q_post_p = relative_entropy_vs_posterior(
-            q, p, rec, PosteriorSide.FIRST_IS_POSTERIOR, cfg, force=force)
+    d_pq = relative_entropy(p, q, cfg)
+    d_qp = relative_entropy(q, p, cfg)
+    d_p_post_q = relative_entropy_vs_posterior(p, q, rec, side, cfg)
+    d_q_post_p = relative_entropy_vs_posterior(q, p, rec, side, cfg)
+    p_rule = (d_p_post_q, d_pq, d_q_post_p, d_qp)
+    q_rule = (d_q_post_p, d_qp, d_p_post_q, d_pq)
+    if variant is Variant.CLARKE:
         # conditioning q appears in D(Post(q) || p) here, so the
         # rise/fall pattern attaches to the opposite statistics
-        first = _paired_rule(d_q_post_p, d_qp, d_p_post_q, d_pq)
-        second = _paired_rule(d_p_post_q, d_pq, d_q_post_p, d_qp)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    if first and not second:
-        verdict = Verdict.FIRST_MORE_NONINFORMATIVE
-    elif second and not first:
-        verdict = Verdict.SECOND_MORE_NONINFORMATIVE
-    else:
-        verdict = Verdict.INCONCLUSIVE
+        p_rule, q_rule = q_rule, p_rule
+    first, second = _paired_rule(*p_rule), _paired_rule(*q_rule)
+    verdict = (Verdict.INCONCLUSIVE if first == second
+               else Verdict.FIRST_MORE_NONINFORMATIVE if first
+               else Verdict.SECOND_MORE_NONINFORMATIVE)
     return ComparisonReport(
         pair=(p.name, q.name), record=rec, variant=variant,
         d_pq=d_pq, d_qp=d_qp, d_p_post_q=d_p_post_q, d_q_post_p=d_q_post_p,
@@ -304,18 +290,15 @@ def variance_z(p: PriorDensity, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
     return (4.0 * math.pi / 3.0) * p.integrate(lambda r, s: r * r, cfg)
 
 
-def crossover_radius(p: PriorDensity, q: PriorDensity,
-                     bracket: tuple = (0.5, None)) -> float:
-    """Radius where the two normalized radial densities are equal."""
-    lo, hi = bracket
-    if hi is None:
-        hi = min(p.support_radius, q.support_radius) * (1.0 - 1e-9)
-
+def crossover_radius(p: PriorDensity, q: PriorDensity) -> float:
+    """Radius where the two normalized radial densities are equal, searched
+    on [0.5, (1 - 1e-9) * R] with R the smaller support radius."""
     def h(r):
         s = boundary_log(r)
         return p.log_radial_density_s(s) - q.log_radial_density_s(s)
 
-    return crossover_root(h, lo, hi)
+    return crossover_root(
+        h, 0.5, min(p.support_radius, q.support_radius) * (1.0 - 1e-9))
 
 
 def density_ratio_at(p: PriorDensity, q: PriorDensity, r: float) -> float:

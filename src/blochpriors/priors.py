@@ -32,7 +32,6 @@ __all__ = [
     "PriorDensity",
     "volume_element",
     "make_prior",
-    "density_matrix",
 ]
 
 PRIOR_LABELS = ("sld", "km", "mc", "ld", "p0", "p1", "p2")
@@ -158,8 +157,6 @@ def _radial_norm_integral(profile: RadialProfile, R: float,
     if shape == (2, 0.0, 0):
         return R ** 3 / 3.0
     if shape == (2, -1.5, 0):
-        if R >= 1.0:
-            raise ImproperPriorError("r^2 (1-r^2)^(-3/2) diverges at R = 1")
         return R / math.sqrt(omR2) - math.asin(R)
     value, _, _ = quad_s(profile.value_s, R, cfg)
     return value
@@ -259,10 +256,3 @@ def volume_element(f: MonotoneFunction, r: float) -> float:
         raise ValueError("metric generator must be positive on (0, 1]")
     omr2 = (1.0 - r) * (1.0 + r)
     return r * r / (math.sqrt(omr2) * (1.0 + r) * ft)
-
-
-def density_matrix(pt: BlochPoint) -> np.ndarray:
-    """The 2x2 density matrix with Bloch vector (x, y, z)."""
-    x, y, z = pt.x, pt.y, pt.z
-    return 0.5 * np.array([[1.0 + z, x - 1j * y],
-                           [x + 1j * y, 1.0 - z]], dtype=complex)

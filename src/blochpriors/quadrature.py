@@ -38,6 +38,11 @@ __all__ = [
 # far below any integrand growth encountered on a proper density.
 _S_CAP = 120.0
 
+# points of one Gauss-Kronrod panel of scipy's quad, the least budget
+MIN_EVALUATIONS = 21
+
+_ROOT_TOL = 1e-10      # bracket width at which crossover_root stops
+
 # global integrand-evaluation counter, read by report assembly
 _EVAL_COUNT = 0
 
@@ -59,7 +64,7 @@ class QuadratureConfig:
         if not all(0.0 < tol < math.inf
                    for tol in (self.rel_tol, self.abs_tol)):
             raise ValueError("tolerances must be finite and positive")
-        if self.max_evaluations < 21:
+        if self.max_evaluations < MIN_EVALUATIONS:
             raise ValueError("max_evaluations below minimum rule size")
 
 
@@ -72,7 +77,7 @@ def _count(n: int) -> None:
 
 
 def _quad(fn, a, b, cfg: QuadratureConfig):
-    limit = max(50, cfg.max_evaluations // 21)
+    limit = max(50, cfg.max_evaluations // MIN_EVALUATIONS)
     out = quad(fn, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
                limit=limit, full_output=1)
     value, err, info = out[0], out[1], out[2]
@@ -118,11 +123,11 @@ def _s_rule(R: float, n: int):
     return s, np.tanh(s / 2.0), 0.5 * S * w * (0.5 / np.cosh(s / 2.0) ** 2)
 
 
-def crossover_root(h, a: float, b: float, tol: float = 1e-10) -> float:
+def crossover_root(h, a: float, b: float) -> float:
     """Locate a sign change of ``h`` on ``[a, b]`` by bisection.
 
     Deterministic: fixed midpoint subdivision until the bracket is narrower
-    than ``tol``.  Raises :class:`NoSignChangeError` if ``h(a)`` and
+    than ``_ROOT_TOL``.  Raises :class:`NoSignChangeError` if ``h(a)`` and
     ``h(b)`` have the same sign.
     """
     fa, fb = h(a), h(b)
@@ -133,7 +138,7 @@ def crossover_root(h, a: float, b: float, tol: float = 1e-10) -> float:
         return b
     if (fa > 0) == (fb > 0):
         raise NoSignChangeError(f"h({a}) and h({b}) have the same sign")
-    while (b - a) > tol:
+    while (b - a) > _ROOT_TOL:
         m = 0.5 * (a + b)
         if m <= a or m >= b:   # bracket at floating-point resolution
             break

@@ -35,6 +35,14 @@ def test_kl_support_mismatch_exits_1(capsys):
     assert "SupportMismatch" in err
 
 
+def test_compare_support_mismatch_exits_1(capsys):
+    code, out, err = run(capsys, "compare", "--p", "sld", "--q", "p0",
+                         "--record", "balanced6")
+    assert code == 1
+    assert not out
+    assert "SupportMismatchError" in err
+
+
 def test_compare_text(capsys):
     code, out, _ = run(capsys, "compare", "--p", "km", "--q", "sld",
                        "--record", "balanced6", "--variant", "paper")
@@ -149,6 +157,15 @@ def test_usage_errors_exit_2(capsys):
             main(["kl", "--p", "sld", "--q", "km", option, value])
         assert exc.value.code == 2, (option, value)
         assert option in capsys.readouterr().err
+    # so must the evaluation budget be an integer of at least one rule
+    for value in ("5", "20", "2.5", "many"):
+        with pytest.raises(SystemExit) as exc:
+            main(["kl", "--p", "sld", "--q", "km", "--max-evals", value])
+        assert exc.value.code == 2, value
+        assert "--max-evals" in capsys.readouterr().err
+    code, out, _ = run(capsys, "kl", "--p", "sld", "--q", "km",
+                       "--max-evals", "21")
+    assert code == 0 and out.strip()
 
 
 def test_improper_radius_exits_1(capsys):

@@ -94,8 +94,6 @@ def test_search_validation_and_budget():
         search_min_record(p, q, 6, constraint="weird")
     with pytest.raises(ValueError):
         search_min_record(p, q, 6, objective="weird")
-    with pytest.raises(BudgetExceededError):
-        search_min_record(p, q, 6, "any", candidate_cap=10)
 
 
 def test_search_budget_checked_before_enumeration():

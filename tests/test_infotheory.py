@@ -11,7 +11,8 @@ from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PosteriorSide, Variant,
                          conditional_x, crossover_radius, density_ratio_at,
                          information_gain, make_prior, MeasurementRecord,
                          noninformativity_verdict, parse_record,
-                         relative_entropy, relative_entropy_vs_posterior)
+                         relative_entropy, relative_entropy_vs_posterior,
+                         search_min_record)
 from blochpriors.errors import OutOfSupportError, SupportMismatchError
 from oracles import direct_divergence, truncated_balanced6
 
@@ -55,13 +56,20 @@ def test_gibbs_inequality_all_shared_pairs():
         assert relative_entropy(_p(a), _p(b)) >= -1e-10
 
 
-def test_support_mismatch_rejected_and_forced():
-    with pytest.raises(SupportMismatchError):
-        relative_entropy(_p("p0"), _p("sld"))
-    # with the override the narrower-support prior may sit on the left
-    assert relative_entropy(_p("p0"), _p("sld"), force=True) > 0.0
-    with pytest.raises(SupportMismatchError):
-        relative_entropy(_p("sld"), _p("p0"), force=True)
+def test_support_mismatch_rejected():
+    """Every statistic of a pair needs one support radius, in either order."""
+    for p, q in ((_p("p0"), _p("sld")), (_p("sld"), _p("p0"))):
+        with pytest.raises(SupportMismatchError):
+            relative_entropy(p, q)
+        for side in PosteriorSide:
+            with pytest.raises(SupportMismatchError):
+                relative_entropy_vs_posterior(p, q, B6, side)
+        for variant in Variant:
+            with pytest.raises(SupportMismatchError):
+                noninformativity_verdict(p, q, B6, variant)
+        for objective in ("posterior-vs-prior", "prior-vs-posterior"):
+            with pytest.raises(SupportMismatchError):
+                search_min_record(p, q, 3, objective=objective)
 
 
 # --- posterior-side divergences -----------------------------------------------

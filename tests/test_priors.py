@@ -4,11 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
-                         QuadratureConfig, density_matrix, kubo_mori_function,
+                         QuadratureConfig, kubo_mori_function,
                          larson_dukes_generator, make_prior, petz_function,
                          sld_function, volume_element)
 from blochpriors.errors import ImproperPriorError, OutOfSupportError
@@ -160,21 +158,6 @@ def test_bloch_point_geometry():
     assert pt.phi == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(ValueError):
         BlochPoint(1.0, 1.0, 1.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(0.0, 1.0), st.floats(0.0, math.pi),
-       st.floats(0.0, 2.0 * math.pi))
-def test_density_matrix_properties(r, theta, phi):
-    pt = BlochPoint.from_spherical(r, theta, phi)
-    rho = density_matrix(pt)
-    assert np.allclose(rho, rho.conj().T)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
-    eig = np.linalg.eigvalsh(rho)
-    assert np.all(eig >= -1e-12)
-    # eigenvalues are (1 +/- r)/2
-    assert sorted(eig) == pytest.approx(
-        [(1.0 - pt.r) / 2.0, (1.0 + pt.r) / 2.0], abs=1e-12)
 
 
 def test_make_prior_caches():
