@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on computational failure (support mismatch,
-non-convergence, ...), 2 on usage errors (argparse).  Text output shows
-6 significant figures; JSON carries full precision.
+Exit codes: 0 on success, 1 on computational failure (a package error:
+support mismatch, underflowed evidence, ...), 2 on usage errors (argparse,
+and option values out of range).  Text output shows 6 significant
+figures; JSON carries full precision.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import BlochPriorsError
 from .infotheory import NATS_TO_BITS, Variant
 from .measurement import parse_record
 from .priors import PRIOR_LABELS, BlochPoint, make_prior
-from .quadrature import MIN_EVALUATIONS, QuadratureConfig
+from .quadrature import QuadratureConfig
 
 __all__ = ["main"]
 
@@ -35,14 +36,6 @@ def _tolerance(text: str) -> float:
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"expected a finite positive number, got {text!r}")
-    return value
-
-
-def _max_evals(text: str) -> int:
-    value = int(text)
-    if value < MIN_EVALUATIONS:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= {MIN_EVALUATIONS}, got {text!r}")
     return value
 
 
@@ -63,7 +56,6 @@ def _add_common(sub, priors=(), record=False, variant=False, units=False,
                               "1-1e-10 for p0/p1/p2)")
     sub.add_argument("--rel-tol", type=_tolerance, default=1e-8)
     sub.add_argument("--abs-tol", type=_tolerance, default=1e-12)
-    sub.add_argument("--max-evals", type=_max_evals, default=500_000)
     sub.add_argument("--format", choices=("text", "csv", "json"),
                      default="text")
     if units:
@@ -71,8 +63,7 @@ def _add_common(sub, priors=(), record=False, variant=False, units=False,
 
 
 def _cfg(args) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                            max_evaluations=args.max_evals)
+    return QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
 
 
 def _scale(args) -> float:
@@ -259,9 +250,10 @@ def main(argv=None) -> int:
     except BlochPriorsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
+        # an option value out of range, such as --R 1.5 or --k-max 0
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     return 0
 
 

@@ -40,7 +40,8 @@ from .infotheory import (NATS_TO_BITS, PosteriorSide, _posterior_vs_prior,
 from .measurement import (MeasurementRecord, angular_likelihood_integral,
                           angular_likelihood_log_term, balanced_six, evidence,
                           parse_record)
-from .priors import DEFAULT_TRUNCATION_RADIUS, PriorDensity, make_prior
+from .priors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, PriorDensity,
+                     make_prior)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _s_rule
 
 __all__ = [
@@ -240,8 +241,7 @@ def _row(qid: str, published: float, computed: float, cls: str) -> ReproductionR
 
 def _registry(cfg: QuadratureConfig):
     """(table, quantity_id, published value, tolerance class, thunk)."""
-    pri = {k: make_prior(k, cfg=cfg) for k in
-           ("sld", "km", "mc", "ld", "p0", "p1", "p2")}
+    pri = {k: make_prior(k, cfg=cfg) for k in PRIOR_LABELS}
     b6 = balanced_six()
     pv = PosteriorSide.SECOND_IS_POSTERIOR
     cl = PosteriorSide.FIRST_IS_POSTERIOR

@@ -269,8 +269,15 @@ def _evidence_cached(prior: PriorDensity, rec: MeasurementRecord,
 
 def evidence(prior: PriorDensity, rec: MeasurementRecord,
              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Integral of prior times likelihood over the prior's support."""
-    return _evidence_cached(prior, rec, cfg)
+    """Integral of prior times likelihood over the prior's support.
+
+    Raises :class:`ZeroEvidenceError` below 1e-300, where the evidence has
+    underflowed, so that no statistic divides by it or takes its log.
+    """
+    Z = _evidence_cached(prior, rec, cfg)
+    if Z < 1e-300:
+        raise ZeroEvidenceError("likelihood annihilates the prior")
+    return Z
 
 
 @dataclass(frozen=True)
@@ -301,7 +308,4 @@ def posterior(prior, rec: MeasurementRecord,
         base, combined = prior.prior, prior.record + rec
     else:
         base, combined = prior, rec
-    Z = evidence(base, combined, cfg)
-    if Z < 1e-300:
-        raise ZeroEvidenceError("likelihood annihilates the prior")
-    return PosteriorDensity(base, combined, Z)
+    return PosteriorDensity(base, combined, evidence(base, combined, cfg))

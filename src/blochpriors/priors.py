@@ -34,12 +34,8 @@ __all__ = [
     "make_prior",
 ]
 
-PRIOR_LABELS = ("sld", "km", "mc", "ld", "p0", "p1", "p2")
-
 # truncation radius used for the improper-family comparisons
 DEFAULT_TRUNCATION_RADIUS = 1.0 - 1e-10
-
-_IMPROPER_AT_UNIT = frozenset({"p0", "p1"})
 
 
 def boundary_log(r):
@@ -136,15 +132,19 @@ class RadialProfile:
         return out if np.ndim(out) else float(out)
 
 
-_PROFILES = {
-    "sld": RadialProfile(2, -0.5, 0),
-    "km": RadialProfile(1, -0.5, 1),
-    "mc": RadialProfile(0, -0.5, 2),
-    "ld": RadialProfile(2, 0.0, 0),
-    "p0": RadialProfile(2, -1.5, 0),
-    "p1": RadialProfile(1, -1.0, 1),
-    "p2": RadialProfile(0, -0.5, 2),
+# label -> (radial profile, default support radius); a profile with
+# boundary_power <= -1 is not normalizable over the full ball
+_PRIORS = {
+    "sld": (RadialProfile(2, -0.5, 0), 1.0),
+    "km": (RadialProfile(1, -0.5, 1), 1.0),
+    "mc": (RadialProfile(0, -0.5, 2), 1.0),
+    "ld": (RadialProfile(2, 0.0, 0), 1.0),
+    "p0": (RadialProfile(2, -1.5, 0), DEFAULT_TRUNCATION_RADIUS),
+    "p1": (RadialProfile(1, -1.0, 1), DEFAULT_TRUNCATION_RADIUS),
+    "p2": (RadialProfile(0, -0.5, 2), DEFAULT_TRUNCATION_RADIUS),
 }
+
+PRIOR_LABELS = tuple(_PRIORS)
 
 
 def _radial_norm_integral(profile: RadialProfile, R: float,
@@ -212,7 +212,7 @@ class PriorDensity:
 @lru_cache(maxsize=128)
 def _make_prior_cached(kind: str, R: float,
                        cfg: QuadratureConfig) -> PriorDensity:
-    profile = _PROFILES[kind]
+    profile = _PRIORS[kind][0]
     integral = _radial_norm_integral(profile, R, cfg)
     c = 1.0 / (4.0 * math.pi * integral)
     return PriorDensity(kind, profile, R, c)
@@ -226,13 +226,14 @@ def make_prior(kind: str, R: Optional[float] = None,
     1 - 1e-10 for the truncated family (p0, p1, p2).  p0 and p1 are not
     normalizable over the full ball and raise ImproperPriorError at R = 1.
     """
-    if kind not in PRIOR_LABELS:
+    if kind not in _PRIORS:
         raise ValueError(f"unknown prior label {kind!r}")
+    profile, default_R = _PRIORS[kind]
     if R is None:
-        R = 1.0 if kind in ("sld", "km", "mc", "ld") else DEFAULT_TRUNCATION_RADIUS
+        R = default_R
     if not (0.0 < R <= 1.0):
         raise ValueError("support radius must lie in (0, 1]")
-    if R >= 1.0 and kind in _IMPROPER_AT_UNIT:
+    if R >= 1.0 and profile.boundary_power <= -1:
         raise ImproperPriorError(
             f"{kind} is improper over the full ball; choose R < 1")
     return _make_prior_cached(kind, float(R), cfg)

@@ -157,21 +157,34 @@ def test_usage_errors_exit_2(capsys):
             main(["kl", "--p", "sld", "--q", "km", option, value])
         assert exc.value.code == 2, (option, value)
         assert option in capsys.readouterr().err
-    # so must the evaluation budget be an integer of at least one rule
-    for value in ("5", "20", "2.5", "many"):
-        with pytest.raises(SystemExit) as exc:
-            main(["kl", "--p", "sld", "--q", "km", "--max-evals", value])
-        assert exc.value.code == 2, value
-        assert "--max-evals" in capsys.readouterr().err
-    code, out, _ = run(capsys, "kl", "--p", "sld", "--q", "km",
-                       "--max-evals", "21")
-    assert code == 0 and out.strip()
+    # the tolerances are the only quadrature settings
+    with pytest.raises(SystemExit) as exc:
+        main(["kl", "--p", "sld", "--q", "km", "--max-evals", "21"])
+    assert exc.value.code == 2
+    assert "--max-evals" in capsys.readouterr().err
+    # an option value out of range is a usage error too
+    for argv in (["kl", "--p", "sld", "--q", "km", "--R", "1.5"],
+                 ["sweep", "--p", "km", "--q", "sld", "--k-max", "0"],
+                 ["search", "--p", "km", "--q", "sld", "--max-total", "31"],
+                 ["search", "--p", "km", "--q", "sld", "--max-total", "-1"],
+                 ["eval", "--p", "ld", "--x", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert not out and err.startswith("error: "), argv
 
 
 def test_improper_radius_exits_1(capsys):
     code, _, err = run(capsys, "kl", "--p", "p0", "--q", "p1", "--R", "1.0")
     assert code == 1
     assert "Improper" in err
+
+
+def test_underflowed_evidence_exits_1(capsys):
+    code, out, err = run(capsys, "gain", "--p", "km", "--record",
+                         "balanced6^200")
+    assert code == 1
+    assert not out
+    assert "ZeroEvidenceError" in err
 
 
 def test_deterministic_output(capsys):

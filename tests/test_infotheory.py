@@ -13,7 +13,8 @@ from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PosteriorSide, Variant,
                          noninformativity_verdict, parse_record,
                          relative_entropy, relative_entropy_vs_posterior,
                          search_min_record)
-from blochpriors.errors import OutOfSupportError, SupportMismatchError
+from blochpriors.errors import (OutOfSupportError, SupportMismatchError,
+                               ZeroEvidenceError)
 from oracles import direct_divergence, truncated_balanced6
 
 R10 = DEFAULT_TRUNCATION_RADIUS
@@ -134,6 +135,17 @@ def test_information_gain_values():
     assert information_gain(_p("sld"), zup) == pytest.approx(
         5.0 / 6.0 - math.log(2.0), rel=1e-9)
     assert information_gain(_p("mc"), MeasurementRecord()) == 0.0
+
+
+def test_underflowed_evidence_raises_from_every_statistic():
+    """balanced6^200 underflows the evidence; each statistic that needs it
+    raises ZeroEvidenceError instead of dividing by it or taking its log."""
+    rec = balanced_six(200)
+    for side in PosteriorSide:
+        with pytest.raises(ZeroEvidenceError):
+            relative_entropy_vs_posterior(_p("km"), _p("sld"), rec, side)
+    with pytest.raises(ZeroEvidenceError):
+        information_gain(_p("km"), rec)
 
 
 # --- verdicts -----------------------------------------------------------------

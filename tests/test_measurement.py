@@ -179,6 +179,9 @@ def test_posterior_symmetry_for_balanced_record():
 def test_zero_evidence_raises():
     with pytest.raises(ZeroEvidenceError):
         posterior(make_prior("sld"), balanced_six(220))
+    # a subnormal evidence (~2e-311) raises from evidence itself
+    with pytest.raises(ZeroEvidenceError):
+        evidence(make_prior("km"), balanced_six(170))
 
 
 # the six record shapes of the benchmark's clarke-verdicts cycle (totals 1 to

@@ -7,7 +7,8 @@ import pytest
 
 from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
                          QuadratureConfig, kubo_mori_function,
-                         larson_dukes_generator, make_prior, petz_function,
+                         larson_dukes_generator, make_prior,
+                         morozova_chentsov_function, petz_function,
                          sld_function, volume_element)
 from blochpriors.errors import ImproperPriorError, OutOfSupportError
 from blochpriors.priors import boundary_log
@@ -54,6 +55,23 @@ def test_volume_element_larson_dukes():
     f = larson_dukes_generator()
     for r in GRID:
         assert volume_element(f, r) == pytest.approx(r * r / 4.0, rel=1e-13)
+
+
+GENERATORS = {"sld": sld_function(), "km": kubo_mori_function(),
+              "mc": morozova_chentsov_function(),
+              "ld": larson_dukes_generator(), "p0": petz_function(0),
+              "p1": petz_function(1), "p2": petz_function(2)}
+
+
+@pytest.mark.parametrize("kind", PRIOR_LABELS)
+def test_radial_density_is_the_generators_volume_element(kind):
+    """Each built-in profile is the volume element of the paper's generator,
+    up to the normalization constant."""
+    prior, f = make_prior(kind), GENERATORS[kind]
+    rs = np.linspace(0.01, 0.999, 60)
+    ratios = np.array([prior.radial_density(r) / volume_element(f, r)
+                       for r in rs])
+    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
 
 def test_volume_element_domain():

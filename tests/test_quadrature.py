@@ -4,13 +4,14 @@ quad_s integrates w(r) dr over [0, R] with w given in s = log((1+r)/(1-r)),
 where r = tanh(s/2) and (1 - r^2)^(-1/2) = cosh(s/2).
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from blochpriors import QuadratureConfig
 from blochpriors.errors import NoSignChangeError
-from blochpriors.quadrature import crossover_root, quad_s
+from blochpriors.quadrature import crossover_root, evaluation_count, quad_s
 
 R10 = 1.0 - 1e-10
 CFG = QuadratureConfig()
@@ -71,8 +72,18 @@ def test_error_estimate_honest():
 
 
 def test_crossover_root_bisection():
+    before = evaluation_count()
     root = crossover_root(lambda x: x * x - 2.0, 0.0, 2.0)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    # the counter counts integrand evaluations, and bisection has none
+    assert evaluation_count() == before
+
+
+def test_evaluation_count_counts_integrand_calls():
+    calls = []
+    before = evaluation_count()
+    quad_s(lambda s: calls.append(s) or 1.0, 0.5, CFG)
+    assert evaluation_count() - before == len(calls) > 0
 
 
 def test_crossover_root_requires_sign_change():
@@ -88,5 +99,6 @@ def test_config_validation():
             QuadratureConfig(rel_tol=bad)
         with pytest.raises(ValueError, match="finite"):
             QuadratureConfig(abs_tol=bad)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_evaluations=5)
+    # the two tolerances are the whole config
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == \
+        ["rel_tol", "abs_tol"]
