@@ -90,9 +90,8 @@ def _radial_table(prior: PriorDensity):
     :func:`quadrature._s_rule`: ``weights @ h(r)`` is c * Int g(r) h(r) dr,
     as ``prior.integrate`` takes it."""
     s, r, w = _s_rule(prior.support_radius, _N_S)
-    weights = prior.normalization * np.array(
-        [prior.profile.value_s(v) for v in s]) * w
-    return r, weights, np.array([prior.log_radial_density_s(v) for v in s])
+    log_density = prior.log_radial_density_s(s)
+    return r, np.exp(log_density) * w, log_density
 
 
 class _RecordObjective:

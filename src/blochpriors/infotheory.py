@@ -302,14 +302,14 @@ def crossover_radius(p: PriorDensity, q: PriorDensity) -> float:
 
 
 def density_ratio_at(p: PriorDensity, q: PriorDensity, r: float) -> float:
-    """Ratio of the normalized radial densities at radius ``r``."""
+    """Ratio of the normalized radial densities at radius ``r`` in [0, 1),
+    taken as the ratio of their c * g(r)/r^2, which is finite at r = 0."""
+    if not 0.0 <= r < 1.0:
+        raise OutOfSupportError(f"density ratio needs 0 <= r < 1, got {r}")
     p._check_support(r)
     q._check_support(r)
-    if r <= 0.0 or q.radial_density(r) == 0.0:
-        if r > 0.0 or q.profile.r_power + q.profile.log_power > 0:
-            raise ZeroDivisionError("denominator density vanishes at r")
-    s = boundary_log(r)
-    return math.exp(p.log_radial_density_s(s) - q.log_radial_density_s(s))
+    return ((p.normalization * p.profile.cartesian(r))
+            / (q.normalization * q.profile.cartesian(r)))
 
 
 def bivariate_marginal(p: PriorDensity, x: float, y: float,

@@ -9,6 +9,10 @@ form  r^k * (1 - r^2)^alpha * L(r)^m  with L(r) = log((1+r)/(1-r)),
 which is what :class:`RadialProfile` encodes.  Densities are normalized so
 that  c * g(r) * sin(theta)  integrates to one over
 d(phi) d(theta) d(r) on the ball of the chosen support radius.
+
+g has one formula per variable: every integral takes log g in s = L(r)
+(:meth:`RadialProfile.log_value_s`), and every density at a point takes
+g/r^2 in r (:meth:`RadialProfile.cartesian`), finite at r = 0.
 """
 
 from __future__ import annotations
@@ -89,33 +93,20 @@ class BlochPoint:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """r^r_power * (1 - r^2)^boundary_power * L(r)^log_power."""
+    """g(r) = r^r_power * (1 - r^2)^boundary_power * L(r)^log_power."""
 
     r_power: int
     boundary_power: float
     log_power: int
 
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        omr2 = (1.0 - r) * (1.0 + r)
-        out = r ** self.r_power * omr2 ** self.boundary_power
+    def log_value_s(self, s):
+        """log g at s = L(r): one float with :mod:`math`, as an adaptive
+        integrand node is, or an array of nodes with numpy."""
+        xp = math if isinstance(s, float) else np
+        val = self.r_power * xp.log(xp.tanh(s / 2.0))
+        val -= 2.0 * self.boundary_power * xp.log(xp.cosh(s / 2.0))
         if self.log_power:
-            out = out * boundary_log(r) ** self.log_power
-        return out if np.ndim(out) else float(out)
-
-    # --- stable evaluation in s = log((1+r)/(1-r)) -----------------------
-    def value_s(self, s: float) -> float:
-        r = math.tanh(s / 2.0)
-        sech2 = 1.0 / math.cosh(s / 2.0) ** 2
-        return (r ** self.r_power * sech2 ** self.boundary_power
-                * s ** self.log_power)
-
-    def log_value_s(self, s: float) -> float:
-        r = math.tanh(s / 2.0)
-        val = self.r_power * math.log(r)
-        val -= 2.0 * self.boundary_power * math.log(math.cosh(s / 2.0))
-        if self.log_power:
-            val += self.log_power * math.log(s)
+            val += self.log_power * xp.log(s)
         return val
 
     def cartesian(self, r, omr2=None):
@@ -158,7 +149,7 @@ def _radial_norm_integral(profile: RadialProfile, R: float,
         return R ** 3 / 3.0
     if shape == (2, -1.5, 0):
         return R / math.sqrt(omR2) - math.asin(R)
-    value, _, _ = quad_s(profile.value_s, R, cfg)
+    value, _, _ = quad_s(lambda s: math.exp(profile.log_value_s(s)), R, cfg)
     return value
 
 
@@ -180,9 +171,12 @@ class PriorDensity:
         """Normalized radial density c * g(r) (angular part integrated out
         contributes the remaining 4*pi)."""
         self._check_support(r)
-        return self.normalization * self.profile(r)
+        r = np.asarray(r, dtype=float)
+        out = self.normalization * r * r * self.profile.cartesian(r)
+        return out if np.ndim(out) else float(out)
 
-    def log_radial_density_s(self, s: float) -> float:
+    def log_radial_density_s(self, s):
+        """log(c * g) at s = log((1+r)/(1-r)), for one s or an array."""
         return math.log(self.normalization) + self.profile.log_value_s(s)
 
     def integrate(self, h, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -193,7 +187,8 @@ class PriorDensity:
         package is taken here, by :func:`quad_s`.
         """
         def w(s):
-            return self.profile.value_s(s) * h(math.tanh(s / 2.0), s)
+            return (math.exp(self.profile.log_value_s(s))
+                    * h(math.tanh(s / 2.0), s))
 
         value, _, _ = quad_s(w, self.support_radius, cfg)
         return self.normalization * value
@@ -201,10 +196,10 @@ class PriorDensity:
     def density_at(self, pt: BlochPoint, convention: str = "spherical"):
         """Density at a point, in the requested volume convention."""
         r = pt.r
-        self._check_support(r)
         if convention == "spherical":
-            return self.normalization * self.profile(r) * math.sin(pt.theta)
+            return self.radial_density(r) * math.sin(pt.theta)
         if convention == "cartesian":
+            self._check_support(r)
             return self.normalization * self.profile.cartesian(r)
         raise ValueError(f"unknown convention {convention!r}")
 

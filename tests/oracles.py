@@ -121,6 +121,14 @@ def normalization(kind):
         return float(1 / (4 * mpmath.pi * _mass(kind)))
 
 
+def radial_density(kind, r):
+    """c g(r) of ``kind`` at the double r, as a float."""
+    with mpmath.workdps(DPS):
+        r = mpmath.mpf(r)
+        g = _BARE[kind](r, 1 - r * r, mpmath.log((1 + r) / (1 - r)))
+        return float(g / (4 * mpmath.pi * _mass(kind)))
+
+
 def sphere_mean_likelihood(r):
     """Average of the balanced6 likelihood over the sphere of radius r."""
     r2 = r * r

@@ -25,7 +25,7 @@ from blochpriors import (PRIOR_LABELS, Variant, Verdict, balanced_six,
                          morozova_chentsov_function, noninformativity_verdict,
                          parse_record, petz_function, posterior,
                          relative_entropy, repeat_sweep, reproduce,
-                         sld_function)
+                         sld_function, variance_z)
 from blochpriors.infotheory import VERDICT_MARGIN
 from oracles import (ERRATA, normalization, record_evidence,
                      truncated_balanced6)
@@ -87,6 +87,16 @@ def test_criterion_2_six_digit_values():
     assert not off_offset, (
         "erratum rows are not off by E_p1[log L] - E_p2[log L] within "
         f"1e-5: {off_offset}")
+
+
+def test_mc_six_digit_rows_have_closed_forms():
+    """norm.mc and var_z.mc are published to six digits; their closed forms
+    hold at the default config to 1e-12."""
+    mc = make_prior("mc")
+    assert mc.normalization == pytest.approx(1.0 / (2.0 * math.pi ** 4),
+                                             rel=1e-12)
+    assert variance_z(mc) == pytest.approx(
+        1.0 / 6.0 + 4.0 / (3.0 * math.pi ** 2), rel=1e-12)
 
 
 def test_criterion_3_crossover_radii():

@@ -16,6 +16,7 @@ from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PosteriorSide, Variant,
 from blochpriors.errors import (OutOfSupportError, SupportMismatchError,
                                ZeroEvidenceError)
 from oracles import direct_divergence, truncated_balanced6
+from oracles import radial_density as oracle_radial_density
 
 R10 = DEFAULT_TRUNCATION_RADIUS
 FULL = ("sld", "km", "mc", "ld")
@@ -231,8 +232,23 @@ def test_density_ratio_values():
     assert density_ratio_at(_p("p1"), _p("p2"), R10) == pytest.approx(
         330.338, rel=1e-4)
     assert density_ratio_at(_p("km"), _p("km"), 0.5) == 1.0
-    with pytest.raises(ZeroDivisionError):
-        density_ratio_at(_p("km"), _p("sld"), 0.0)
+    # c * g(r)/r^2 at the origin: 1/pi^2 for sld, 2/(4 pi^2) for km
+    assert density_ratio_at(_p("km"), _p("sld"), 0.0) == pytest.approx(
+        0.5, rel=1e-12)
+    # r^2 underflows here; the ratio does not
+    assert density_ratio_at(_p("sld"), _p("km"), 1e-170) == pytest.approx(
+        2.0, rel=1e-12)
+    # outside [0, 1) it raises, even for ld, which is finite at r = 1
+    for r in (-0.5, 1.0):
+        with pytest.raises(OutOfSupportError):
+            density_ratio_at(_p("ld"), _p("ld"), r)
+
+
+@pytest.mark.parametrize("a,b", [("p0", "p1"), ("p0", "p2"), ("p1", "p2")])
+def test_density_ratio_at_R_matches_oracle(a, b):
+    want = oracle_radial_density(a, R10) / oracle_radial_density(b, R10)
+    assert density_ratio_at(_p(a), _p(b), R10) == pytest.approx(
+        want, rel=1e-12)
 
 
 # --- marginals and conditionals -----------------------------------------------

@@ -12,6 +12,7 @@ from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
                          sld_function, volume_element)
 from blochpriors.errors import ImproperPriorError, OutOfSupportError
 from blochpriors.priors import boundary_log
+from blochpriors.quadrature import _s_rule
 from oracles import normalization
 
 R10 = DEFAULT_TRUNCATION_RADIUS
@@ -72,6 +73,24 @@ def test_radial_density_is_the_generators_volume_element(kind):
     ratios = np.array([prior.radial_density(r) / volume_element(f, r)
                        for r in rs])
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", PRIOR_LABELS)
+def test_log_density_in_s_is_the_radial_density_in_r(kind):
+    """The two formulas of g are one density: exp of log(c g) at
+    s = L(r) is c g(r), and a rule's nodes in one array give what they give
+    one float at a time."""
+    p = make_prior(kind)
+    radii = [1e-3, 0.3, 0.9, 1.0 - 1e-6]
+    if p.support_radius < 1.0:
+        radii.append(p.support_radius)
+    for r in radii:
+        assert math.exp(p.log_radial_density_s(boundary_log(r))) \
+            == pytest.approx(p.radial_density(r), rel=1e-13)
+    s = _s_rule(p.support_radius, 160)[0]
+    one_at_a_time = [p.profile.log_value_s(float(v)) for v in s]
+    np.testing.assert_allclose(np.exp(p.profile.log_value_s(s)),
+                               np.exp(one_at_a_time), rtol=1e-14)
 
 
 def test_volume_element_domain():
