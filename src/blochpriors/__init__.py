@@ -5,14 +5,11 @@ from .errors import (BlochPriorsError, BudgetExceededError,
                      ImproperPriorError, NoSignChangeError,
                      NonConvergenceError, OutOfSupportError,
                      SupportMismatchError, ZeroEvidenceError)
-from .functions import (MonotoneFunction, MonotoneFunctionReport,
-                        check_monotone_function, custom_function,
-                        kubo_mori_function, larson_dukes_generator,
-                        morozova_chentsov_function, petz_function,
-                        sld_function)
 from .quadrature import QuadratureConfig, crossover_root
 from .priors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
-                     PriorDensity, RadialProfile, make_prior, volume_element)
+                     MonotoneFunctionReport, PriorDensity, RadialProfile,
+                     check_monotone_function, generator, make_prior,
+                     volume_element)
 from .measurement import (MeasurementRecord, PosteriorDensity, balanced_six,
                           evidence, likelihood, parse_record, posterior)
 from .infotheory import (NATS_TO_BITS, ComparisonReport, PosteriorSide,
@@ -30,12 +27,10 @@ __all__ = [
     "BlochPriorsError", "BudgetExceededError", "ImproperPriorError",
     "NoSignChangeError", "NonConvergenceError", "OutOfSupportError",
     "SupportMismatchError", "ZeroEvidenceError",
-    "MonotoneFunction", "MonotoneFunctionReport", "check_monotone_function",
-    "custom_function", "kubo_mori_function", "larson_dukes_generator",
-    "morozova_chentsov_function", "petz_function", "sld_function",
     "QuadratureConfig", "crossover_root",
     "DEFAULT_TRUNCATION_RADIUS", "PRIOR_LABELS", "BlochPoint",
-    "PriorDensity", "RadialProfile", "make_prior", "volume_element",
+    "MonotoneFunctionReport", "PriorDensity", "RadialProfile",
+    "check_monotone_function", "generator", "make_prior", "volume_element",
     "MeasurementRecord", "PosteriorDensity", "balanced_six", "evidence",
     "likelihood", "parse_record", "posterior",
     "NATS_TO_BITS", "ComparisonReport", "PosteriorSide", "Variant",

@@ -1,18 +1,25 @@
 """Prior densities on the Bloch ball induced by monotone metrics.
 
-The volume element of the metric generated by f is
+Each prior is the volume element of the metric generated by a function f,
+for every built-in but ld an operator monotone one with f(1) = 1 and
+f(t) = t f(1/t) (Petz and Sudar):
 
     r^2 (1 - r^2)^(-1/2) (1 + r)^(-1) / f((1 - r)/(1 + r))  *  sin(theta)
 
-up to normalization.  For every built-in family this reduces to the closed
-form  r^k * (1 - r^2)^alpha * L(r)^m  with L(r) = log((1+r)/(1-r)),
-which is what :class:`RadialProfile` encodes.  Densities are normalized so
-that  c * g(r) * sin(theta)  integrates to one over
-d(phi) d(theta) d(r) on the ball of the chosen support radius.
+up to normalization.  One table, ``_PRIORS``, gives each built-in label
+its closed-form radial profile, its default support radius and its f
+(:func:`generator`).  For every built-in f the element reduces to
+r^k * (1 - r^2)^alpha * L(r)^m  with L(r) = log((1+r)/(1-r)), which is
+what :class:`RadialProfile` encodes; :func:`volume_element` evaluates it
+from f, as a reference.  Densities are normalized so that
+c * g(r) * sin(theta)  integrates to one over d(phi) d(theta) d(r) on the
+ball of the chosen support radius.
 
 g has one formula per variable: every integral takes log g in s = L(r)
 (:meth:`RadialProfile.log_value_s`), and every density at a point takes
-g/r^2 in r (:meth:`RadialProfile.cartesian`), finite at r = 0.
+g/r^2 in r (:meth:`RadialProfile.cartesian`), finite at r = 0.  A density
+at a point that would not be finite (at r >= 1, for every prior but ld)
+raises OutOfSupportError.
 """
 
 from __future__ import annotations
@@ -20,12 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ImproperPriorError, OutOfSupportError
-from .functions import MonotoneFunction
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_s
 
 __all__ = [
@@ -34,8 +40,11 @@ __all__ = [
     "BlochPoint",
     "RadialProfile",
     "PriorDensity",
+    "MonotoneFunctionReport",
     "volume_element",
+    "check_monotone_function",
     "make_prior",
+    "generator",
 ]
 
 # truncation radius used for the improper-family comparisons
@@ -101,8 +110,18 @@ class RadialProfile:
 
     def log_value_s(self, s):
         """log g at s = L(r): one float with :mod:`math`, as an adaptive
-        integrand node is, or an array of nodes with numpy."""
-        xp = math if isinstance(s, float) else np
+        integrand node is, or an array of nodes with numpy.  g vanishes
+        like r^2, so log g is -inf at s = 0."""
+        if isinstance(s, float):
+            if s == 0.0:
+                return -math.inf
+            xp = math
+        else:
+            xp, s = np, np.asarray(s, dtype=float)
+            at_0 = s == 0.0
+            if at_0.any():
+                return np.where(at_0, -np.inf,
+                                self.log_value_s(np.where(at_0, 1.0, s)))
         val = self.r_power * xp.log(xp.tanh(s / 2.0))
         val -= 2.0 * self.boundary_power * xp.log(xp.cosh(s / 2.0))
         if self.log_power:
@@ -123,16 +142,97 @@ class RadialProfile:
         return out if np.ndim(out) else float(out)
 
 
-# label -> (radial profile, default support radius); a profile with
-# boundary_power <= -1 is not normalizable over the full ball
+# --- metric generators ------------------------------------------------------
+
+# removable singularities at t = 1 are bridged by series inside this window
+_SERIES_WINDOW = 1e-6
+_CHECK_GRID_POINTS = 241     # points of check_monotone_function's grid
+
+
+def _generator(formula):
+    """f(t) on one float or an array of t > 0; one float gives a float."""
+    def f(t):
+        out = formula(np.asarray(t, dtype=float))
+        return out if out.ndim else float(out)
+    return f
+
+
+def _t1_ratio(t):
+    """(t - 1) / log(t), the Kubo-Mori generator, with its t -> 1 limit."""
+    u = t - 1.0
+    near = np.abs(u) < _SERIES_WINDOW
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = u / np.log(np.where(near, 2.0, t))
+    return np.where(near, 1.0 + u / 2.0 - u * u / 12.0, direct)
+
+
+def _petz(n: int):
+    """2 t^{(2-n)/2} ((t-1)/log t)^n / (1+t): n = 0 is the maximal monotone
+    generator 2t/(1+t), n = 2 the Morozova-Chentsov one."""
+    return _generator(
+        lambda t: 2.0 * t ** ((2.0 - n) / 2.0) * _t1_ratio(t) ** n / (1.0 + t))
+
+
+def volume_element(f: Callable, r: float) -> float:
+    """Unnormalized radial density induced by the metric generator f.
+
+    Returns r^2 (1-r^2)^(-1/2) (1+r)^(-1) / f((1-r)/(1+r)).
+    """
+    if r >= 1.0:
+        raise ValueError("volume element undefined at r >= 1: f((1-r)/(1+r)) "
+                         "may vanish at the boundary")
+    if r < 0.0:
+        raise ValueError("r must be nonnegative")
+    if r == 0.0:
+        return 0.0
+    t = (1.0 - r) / (1.0 + r)
+    ft = float(f(t))
+    if ft <= 0.0:
+        raise ValueError("metric generator must be positive on (0, 1]")
+    omr2 = (1.0 - r) * (1.0 + r)
+    return r * r / (math.sqrt(omr2) * (1.0 + r) * ft)
+
+
+@dataclass(frozen=True)
+class MonotoneFunctionReport:
+    normalized: bool
+    symmetric: bool
+    scalar_monotone: bool
+
+
+def check_monotone_function(f: Callable) -> MonotoneFunctionReport:
+    """Check f(1) = 1, the symmetry f(t) = t f(1/t), and monotonicity.
+
+    All checks run on a log-spaced grid of _CHECK_GRID_POINTS points over
+    [1e-6, 1e6]; monotonicity is the scalar necessary condition only, not
+    operator monotonicity.  Evaluation errors propagate.
+    """
+    t = np.logspace(-6.0, 6.0, _CHECK_GRID_POINTS)
+    ft = np.asarray(f(t), dtype=float)
+    f_inv = np.asarray(f(1.0 / t), dtype=float)
+
+    normalized = abs(float(f(1.0)) - 1.0) <= 1e-12
+    symmetric = bool(np.all(np.abs(ft - t * f_inv) <= 1e-12 * np.abs(ft)))
+    scale = np.maximum(np.abs(ft[1:]), np.abs(ft[:-1]))
+    scalar_monotone = bool(np.all(np.diff(ft) >= -1e-12 * scale))
+    return MonotoneFunctionReport(normalized, symmetric, scalar_monotone)
+
+
+# label -> (radial profile, default support radius, metric generator f);
+# a profile with boundary_power <= -1 is not normalizable over the full
+# ball.  ld's f = (1+t)^2/sqrt(t) gives the uniform density but is neither
+# normalized (f(1) = 4) nor monotone.
+_MC = _petz(2)
 _PRIORS = {
-    "sld": (RadialProfile(2, -0.5, 0), 1.0),
-    "km": (RadialProfile(1, -0.5, 1), 1.0),
-    "mc": (RadialProfile(0, -0.5, 2), 1.0),
-    "ld": (RadialProfile(2, 0.0, 0), 1.0),
-    "p0": (RadialProfile(2, -1.5, 0), DEFAULT_TRUNCATION_RADIUS),
-    "p1": (RadialProfile(1, -1.0, 1), DEFAULT_TRUNCATION_RADIUS),
-    "p2": (RadialProfile(0, -0.5, 2), DEFAULT_TRUNCATION_RADIUS),
+    "sld": (RadialProfile(2, -0.5, 0), 1.0,
+            _generator(lambda t: (1.0 + t) / 2.0)),
+    "km": (RadialProfile(1, -0.5, 1), 1.0, _generator(_t1_ratio)),
+    "mc": (RadialProfile(0, -0.5, 2), 1.0, _MC),
+    "ld": (RadialProfile(2, 0.0, 0), 1.0,
+           _generator(lambda t: (1.0 + t) ** 2 / np.sqrt(t))),
+    "p0": (RadialProfile(2, -1.5, 0), DEFAULT_TRUNCATION_RADIUS, _petz(0)),
+    "p1": (RadialProfile(1, -1.0, 1), DEFAULT_TRUNCATION_RADIUS, _petz(1)),
+    "p2": (RadialProfile(0, -0.5, 2), DEFAULT_TRUNCATION_RADIUS, _MC),
 }
 
 PRIOR_LABELS = tuple(_PRIORS)
@@ -167,12 +267,23 @@ class PriorDensity:
             raise OutOfSupportError(
                 f"r beyond support radius {self.support_radius} of {self.name}")
 
+    def _cartesian(self, r):
+        """g(r)/r^2 on the support; OutOfSupportError where it is not
+        finite (at r >= 1, for every prior but ld)."""
+        self._check_support(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self.profile.cartesian(r)
+        if not np.all(np.isfinite(out)):
+            raise OutOfSupportError(
+                f"{self.name} density is not finite at r >= 1")
+        return out
+
     def radial_density(self, r):
         """Normalized radial density c * g(r) (angular part integrated out
         contributes the remaining 4*pi)."""
-        self._check_support(r)
+        cart = self._cartesian(r)
         r = np.asarray(r, dtype=float)
-        out = self.normalization * r * r * self.profile.cartesian(r)
+        out = self.normalization * r * r * cart
         return out if np.ndim(out) else float(out)
 
     def log_radial_density_s(self, s):
@@ -199,8 +310,7 @@ class PriorDensity:
         if convention == "spherical":
             return self.radial_density(r) * math.sin(pt.theta)
         if convention == "cartesian":
-            self._check_support(r)
-            return self.normalization * self.profile.cartesian(r)
+            return self.normalization * self._cartesian(r)
         raise ValueError(f"unknown convention {convention!r}")
 
 
@@ -213,6 +323,13 @@ def _make_prior_cached(kind: str, R: float,
     return PriorDensity(kind, profile, R, c)
 
 
+def _entry(kind: str):
+    try:
+        return _PRIORS[kind]
+    except KeyError:
+        raise ValueError(f"unknown prior label {kind!r}") from None
+
+
 def make_prior(kind: str, R: Optional[float] = None,
                cfg: QuadratureConfig = DEFAULT_CONFIG) -> PriorDensity:
     """Build the normalized built-in prior ``kind`` on the ball of radius R.
@@ -221,9 +338,7 @@ def make_prior(kind: str, R: Optional[float] = None,
     1 - 1e-10 for the truncated family (p0, p1, p2).  p0 and p1 are not
     normalizable over the full ball and raise ImproperPriorError at R = 1.
     """
-    if kind not in _PRIORS:
-        raise ValueError(f"unknown prior label {kind!r}")
-    profile, default_R = _PRIORS[kind]
+    profile, default_R, _ = _entry(kind)
     if R is None:
         R = default_R
     if not (0.0 < R <= 1.0):
@@ -234,21 +349,7 @@ def make_prior(kind: str, R: Optional[float] = None,
     return _make_prior_cached(kind, float(R), cfg)
 
 
-def volume_element(f: MonotoneFunction, r: float) -> float:
-    """Unnormalized radial density induced by the metric generator f.
-
-    Returns r^2 (1-r^2)^(-1/2) (1+r)^(-1) / f((1-r)/(1+r)).
-    """
-    if r >= 1.0:
-        raise ValueError("volume element undefined at r >= 1: f((1-r)/(1+r)) "
-                         "may vanish at the boundary")
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    t = (1.0 - r) / (1.0 + r)
-    ft = float(f(t))
-    if ft <= 0.0:
-        raise ValueError("metric generator must be positive on (0, 1]")
-    omr2 = (1.0 - r) * (1.0 + r)
-    return r * r / (math.sqrt(omr2) * (1.0 + r) * ft)
+def generator(kind: str) -> Callable:
+    """The metric generator f of the built-in prior ``kind``, vectorized
+    over t; mc and p2 share one."""
+    return _entry(kind)[2]

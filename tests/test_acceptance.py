@@ -20,12 +20,10 @@ import numpy as np
 import pytest
 
 from blochpriors import (PRIOR_LABELS, Variant, Verdict, balanced_six,
-                         check_monotone_function, kubo_mori_function,
-                         larson_dukes_generator, make_prior,
-                         morozova_chentsov_function, noninformativity_verdict,
-                         parse_record, petz_function, posterior,
+                         check_monotone_function, generator, make_prior,
+                         noninformativity_verdict, parse_record, posterior,
                          relative_entropy, repeat_sweep, reproduce,
-                         sld_function, variance_z)
+                         variance_z)
 from blochpriors.infotheory import VERDICT_MARGIN
 from oracles import (ERRATA, normalization, record_evidence,
                      truncated_balanced6)
@@ -180,12 +178,10 @@ def test_criterion_5_property_suites():
 
     # monotone-function identities; uniform-density generator flagged
     fn_ok = True
-    for f in (sld_function(), kubo_mori_function(),
-              morozova_chentsov_function(), petz_function(0),
-              petz_function(1), petz_function(2)):
-        rep = check_monotone_function(f)
+    for kind in ("sld", "km", "mc", "p0", "p1", "p2"):
+        rep = check_monotone_function(generator(kind))
         fn_ok &= rep.normalized and rep.symmetric and rep.scalar_monotone
-    ld_rep = check_monotone_function(larson_dukes_generator())
+    ld_rep = check_monotone_function(generator("ld"))
     fn_ok &= (not ld_rep.normalized) and (not ld_rep.scalar_monotone)
     details.append(("function identities + non-monotone flag", fn_ok))
 

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
-                         QuadratureConfig, kubo_mori_function,
-                         larson_dukes_generator, make_prior,
-                         morozova_chentsov_function, petz_function,
-                         sld_function, volume_element)
+                         QuadratureConfig, generator, make_prior,
+                         volume_element)
 from blochpriors.errors import ImproperPriorError, OutOfSupportError
 from blochpriors.priors import boundary_log
 from blochpriors.quadrature import _s_rule
@@ -25,7 +23,7 @@ def _bare(r):
 
 
 def test_volume_element_sld():
-    f = sld_function()
+    f = generator("sld")
     for r in GRID:
         # f_SLD((1-r)/(1+r)) = 1/(1+r), so the element is r^2 (1-r^2)^(-1/2)
         want = r * r / math.sqrt(1.0 - r * r)
@@ -35,7 +33,7 @@ def test_volume_element_sld():
 
 
 def test_volume_element_km():
-    f = kubo_mori_function()
+    f = generator("km")
     for r in GRID:
         want = 0.5 * r * boundary_log(r) / math.sqrt(1.0 - r * r)
         assert volume_element(f, r) == pytest.approx(want, rel=1e-12)
@@ -44,31 +42,25 @@ def test_volume_element_km():
 def test_volume_element_petz_family():
     for r in GRID:
         omr2 = 1.0 - r * r
-        assert volume_element(petz_function(0), r) == pytest.approx(
+        assert volume_element(generator("p0"), r) == pytest.approx(
             r * r * omr2 ** -1.5, rel=1e-12)
-        assert volume_element(petz_function(1), r) == pytest.approx(
+        assert volume_element(generator("p1"), r) == pytest.approx(
             0.5 * r * boundary_log(r) / omr2, rel=1e-12)
-        assert volume_element(petz_function(2), r) == pytest.approx(
+        assert volume_element(generator("p2"), r) == pytest.approx(
             0.25 * boundary_log(r) ** 2 / math.sqrt(omr2), rel=1e-12)
 
 
 def test_volume_element_larson_dukes():
-    f = larson_dukes_generator()
+    f = generator("ld")
     for r in GRID:
         assert volume_element(f, r) == pytest.approx(r * r / 4.0, rel=1e-13)
-
-
-GENERATORS = {"sld": sld_function(), "km": kubo_mori_function(),
-              "mc": morozova_chentsov_function(),
-              "ld": larson_dukes_generator(), "p0": petz_function(0),
-              "p1": petz_function(1), "p2": petz_function(2)}
 
 
 @pytest.mark.parametrize("kind", PRIOR_LABELS)
 def test_radial_density_is_the_generators_volume_element(kind):
     """Each built-in profile is the volume element of the paper's generator,
     up to the normalization constant."""
-    prior, f = make_prior(kind), GENERATORS[kind]
+    prior, f = make_prior(kind), generator(kind)
     rs = np.linspace(0.01, 0.999, 60)
     ratios = np.array([prior.radial_density(r) / volume_element(f, r)
                        for r in rs])
@@ -95,10 +87,10 @@ def test_log_density_in_s_is_the_radial_density_in_r(kind):
 
 def test_volume_element_domain():
     with pytest.raises(ValueError):
-        volume_element(sld_function(), 1.0)
+        volume_element(generator("sld"), 1.0)
     with pytest.raises(ValueError):
-        volume_element(sld_function(), -0.1)
-    assert volume_element(sld_function(), 0.0) == 0.0
+        volume_element(generator("sld"), -0.1)
+    assert volume_element(generator("sld"), 0.0) == 0.0
 
 
 def test_normalization_constants():
@@ -177,6 +169,41 @@ def test_out_of_support():
         p.radial_density(1.0 - 1e-12)
     with pytest.raises(OutOfSupportError):
         p.density_at(BlochPoint(0.0, 0.0, 1.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", PRIOR_LABELS)
+def test_no_density_at_a_point_is_non_finite(kind):
+    """At r = 1, and just beyond it within BlochPoint's slack, ld's density
+    is finite (c, uniform) and every other prior raises OutOfSupportError,
+    in both conventions and with no numpy warning."""
+    p = make_prior(kind)
+    for z in (1.0, 1.0000000000004):
+        pt = BlochPoint(0.0, 0.0, z)
+        if kind == "ld":
+            assert p.density_at(pt, "cartesian") == p.normalization
+            assert p.radial_density(pt.r) == p.normalization * z * z
+            continue
+        for convention in ("spherical", "cartesian"):
+            with pytest.raises(OutOfSupportError):
+                p.density_at(pt, convention)
+        with pytest.raises(OutOfSupportError):
+            p.radial_density(np.array([0.5, z]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", PRIOR_LABELS)
+def test_log_density_is_minus_inf_at_the_centre(kind):
+    """g vanishes like r^2, so log(c g) is -inf at s = 0, for one float and
+    inside an array, with no numpy warning."""
+    p = make_prior(kind)
+    assert p.log_radial_density_s(0.0) == -math.inf
+    s = np.array([0.0, 0.5, 0.0, 3.0])
+    got = p.log_radial_density_s(s)
+    assert got[0] == got[2] == -math.inf
+    np.testing.assert_allclose(
+        got[[1, 3]], [p.log_radial_density_s(0.5), p.log_radial_density_s(3.0)],
+        rtol=1e-14)
 
 
 def test_radial_ordering_near_boundary():
