@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("reproduce", help="recompute the published table")
     _add_common(sp, radius=False)
-    sp.add_argument("--table", choices=("all", "s21", "s22", "s23", "s3"),
+    sp.add_argument("--table", choices=("all",) + experiments._SECTIONS,
                     default="all")
     return parser
 

@@ -6,26 +6,40 @@ objective with the record-sized angular kernels of :mod:`measurement` on
 the fixed radial rule :func:`quadrature._s_rule`.  The value it ranks by is
 the value it returns.
 
-The reproduction table recomputes every published figure this package
-models and reports pass/fail per row against a tolerance class:
+The reproduction table ``_TABLE`` is data, one row per published figure:
+section, quantity id, published value and tolerance class, one of
 
 * ``exact-rational``: values forced analytically (closed forms), 1e-9;
 * ``six-digit``: figures quoted to six significant digits, 1e-3 relative;
 * ``four-digit``: figures quoted to about four digits, 5e-3 relative.
 
-Two published prior-vs-posterior divergences for the truncated family
-(quantities ``d.p1.post_p0.balanced6`` and ``d.p1.post_p2.balanced6``) do
-not reproduce and are reported as failing rows; see the README for the
-analysis (the published pair is off by a common additive constant
-consistent with an expected-log-likelihood computed under the wrong
-prior).
+:func:`reproduce` computes each id with :func:`_quantity`, so the id says
+what is computed.  ``<p>``, ``<q>`` are prior labels at their default
+radii; ``<rec>`` is ``balanced6``, ``balanced6x<k>`` (``balanced6^<k>``)
+or ``zplus`` (``Z+:1``):
+
+* ``norm.<p>`` (c), ``var_z.<p>`` (E_p[z^2]), ``d.<p>.<q>`` (D(p || q));
+* ``z.<p>.<rec>`` (1/evidence), ``gain.<p>.<rec>`` (D(Post_p || p));
+* ``d.<p>.post_<q>.<rec>`` (D(p || Post_q)) and
+  ``clarke.post_<p>.<q>.<rec>`` (D(Post_p || q));
+* ``sweep.<p>.<q>.<rec>.k<n>``, which is ``d.<p>.post_<q>.<rec>x<n>``;
+* ``crossover.<p>.<q>`` and ``ratio.<p>.<q>.at_R`` (at R = 1 - 1e-10);
+* ``marginal.<p>.disk`` and ``.origin``, the (x, y) marginal at (0.3, 0.2)
+  and (0, 0); ``conditional.x0``, p0's arc-sine conditional at x = 0;
+* ``units.nats_to_bits`` (1/log 2).
+
+Three rows fail.  Two published prior-vs-posterior divergences of the
+truncated family (``d.p1.post_p0.balanced6``, ``d.p1.post_p2.balanced6``)
+are off by a common additive constant, consistent with an
+expected-log-likelihood taken under the wrong prior (see the README), and
+the published nats-to-bits factor 1.4227 is not 1/log 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -38,10 +52,8 @@ from .infotheory import (NATS_TO_BITS, PosteriorSide, _posterior_vs_prior,
                          relative_entropy, relative_entropy_vs_posterior,
                          variance_z)
 from .measurement import (MeasurementRecord, angular_likelihood_integral,
-                          angular_likelihood_log_term, balanced_six, evidence,
-                          parse_record)
-from .priors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, PriorDensity,
-                     make_prior)
+                          angular_likelihood_log_term, evidence, parse_record)
+from .priors import DEFAULT_TRUNCATION_RADIUS, PriorDensity, make_prior
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _s_rule
 
 __all__ = [
@@ -238,177 +250,160 @@ def _row(qid: str, published: float, computed: float, cls: str) -> ReproductionR
                            cls, rel_diff <= _TOLERANCES[cls])
 
 
-def _registry(cfg: QuadratureConfig):
-    """(table, quantity_id, published value, tolerance class, thunk)."""
-    pri = {k: make_prior(k, cfg=cfg) for k in PRIOR_LABELS}
-    b6 = balanced_six()
-    pv = PosteriorSide.SECOND_IS_POSTERIOR
-    cl = PosteriorSide.FIRST_IS_POSTERIOR
+# (section, quantity id, published value, tolerance class)
+_TABLE = (
+    # priors and normalization constants
+    ("s21", "norm.sld", 1.0 / math.pi ** 2, "exact-rational"),
+    ("s21", "norm.km", 1.0 / (4.0 * math.pi ** 2), "exact-rational"),
+    ("s22", "norm.mc", 0.00513299, "six-digit"),
+    ("s22", "norm.ld", 3.0 / (4.0 * math.pi), "exact-rational"),
+    ("s23", "norm.p0", 1.12542e-6, "six-digit"),
+    ("s23", "norm.p1", 5.69121e-4, "six-digit"),
+    ("s23", "norm.p2", 5.13611e-3, "six-digit"),
+    # prior-vs-prior divergences
+    ("s21", "d.sld.km", 0.0891523, "six-digit"),
+    ("s21", "d.km.sld", 0.0975976, "six-digit"),
+    ("s22", "d.km.mc", 0.112421, "six-digit"),
+    ("s22", "d.mc.km", 0.117982, "six-digit"),
+    ("s22", "d.sld.mc", 0.388323, "six-digit"),
+    ("s22", "d.mc.sld", 0.445981, "six-digit"),
+    ("s22", "d.ld.mc", 1.07895, "six-digit"),
+    ("s22", "d.mc.ld", 1.98719, "six-digit"),
+    ("s23", "d.p0.p1", 0.867442, "six-digit"),
+    ("s23", "d.p0.p2", 5.76086, "six-digit"),
+    ("s23", "d.p1.p0", 1.654, "four-digit"),
+    ("s23", "d.p1.p2", 2.37198, "six-digit"),
+    ("s23", "d.p2.p0", 7.06816, "six-digit"),
+    ("s23", "d.p2.p1", 1.52109, "six-digit"),
+    # posterior normalization factors (reciprocal evidences), balanced6
+    ("s21", "z.sld.balanced6", 64.0 * 192.0 / 71.0, "exact-rational"),
+    ("s21", "z.km.balanced6", 64.0 * 19600.0 / 6047.0, "exact-rational"),
+    ("s23", "z.p0.balanced6", 335.987, "six-digit"),
+    ("s23", "z.p1.balanced6", 327.546, "six-digit"),
+    ("s23", "z.p2.balanced6", 249.378, "six-digit"),
+    # prior vs posterior, published variant
+    ("s21", "d.sld.post_km.balanced6", 0.0720681, "six-digit"),
+    ("s21", "d.km.post_sld.balanced6", 0.457259, "six-digit"),
+    ("s21", "d.sld.post_km.balanced6x2", 0.334699, "six-digit"),
+    ("s22", "d.km.post_mc.balanced6", 0.106655, "six-digit"),
+    ("s22", "d.mc.post_km.balanced6", 0.482023, "six-digit"),
+    ("s22", "d.sld.post_mc.balanced6", 0.186964, "six-digit"),
+    ("s22", "d.mc.post_sld.balanced6", 0.991175, "six-digit"),
+    ("s22", "d.ld.post_mc.balanced6", 0.559829, "six-digit"),
+    ("s22", "d.mc.post_ld.balanced6", 2.79851, "six-digit"),
+    ("s23", "d.p0.post_p1.balanced6", 1.07576, "six-digit"),
+    ("s23", "d.p0.post_p2.balanced6", 6.24184, "six-digit"),
+    ("s23", "d.p1.post_p0.balanced6", 1.53564, "six-digit"),
+    ("s23", "d.p1.post_p2.balanced6", 2.55172, "six-digit"),
+    ("s23", "d.p2.post_p0.balanced6", 6.94979, "six-digit"),
+    ("s23", "d.p2.post_p1.balanced6", 1.42817, "six-digit"),
+    # posterior vs prior (position-exchanged statistics)
+    ("s21", "clarke.post_km.sld.balanced6", 0.0603743, "six-digit"),
+    ("s21", "clarke.post_sld.km.balanced6", 0.399442, "six-digit"),
+    ("s22", "clarke.post_mc.km.balanced6", 0.0910048, "six-digit"),
+    ("s22", "clarke.post_km.mc.balanced6", 0.452794, "six-digit"),
+    # information gains
+    ("s21", "gain.km.balanced6", 0.151575, "six-digit"),
+    ("s21", "gain.sld.balanced6", 4693.0 / 1420.0 + math.log(3.0 / 71.0),
+     "exact-rational"),
+    ("s21", "gain.km.zplus", 0.157404, "six-digit"),
+    ("s21", "gain.sld.zplus", 5.0 / 6.0 - math.log(2.0), "exact-rational"),
+    # repeat sweep values beyond k=1 (k=1 values are the rows above)
+    ("s22", "sweep.ld.mc.balanced6.k2", 0.310686, "six-digit"),
+    ("s22", "sweep.ld.mc.balanced6.k3", 0.307632, "six-digit"),
+    ("s22", "sweep.ld.mc.balanced6.k4", 0.529577, "six-digit"),
+    # crossover radii of normalized radial densities
+    ("s21", "crossover.km.sld", 0.957504, "four-digit"),
+    ("s22", "crossover.mc.km", 0.9846, "four-digit"),
+    ("s22", "crossover.mc.sld", 0.973932, "four-digit"),
+    ("s22", "crossover.mc.ld", 0.948724, "four-digit"),
+    # boundary density ratios at the truncation radius
+    ("s23", "ratio.p0.p1.at_R", 5.89521, "six-digit"),
+    ("s23", "ratio.p0.p2.at_R", 1947.41, "six-digit"),
+    ("s23", "ratio.p1.p2.at_R", 330.338, "six-digit"),
+    # second moments of z
+    ("s3", "var_z.mc", 0.301762, "six-digit"),
+    ("s3", "var_z.km", 5.0 / 18.0, "exact-rational"),
+    ("s3", "var_z.sld", 0.25, "exact-rational"),
+    ("s3", "var_z.ld", 0.2, "exact-rational"),
+    # marginal and conditional spot values
+    ("s3", "marginal.sld.disk", 1.0 / math.pi, "exact-rational"),
+    ("s3", "marginal.p0.origin", 1.0 / (2.0 * math.pi), "four-digit"),
+    ("s3", "conditional.x0", 1.0 / math.pi, "exact-rational"),
+    # the published nats-to-bits factor (1.4227) disagrees with
+    # 1/log 2; the correct constant is computed, so this row fails
+    ("s21", "units.nats_to_bits", 1.4227, "six-digit"),
+)
 
-    def d(a, b):
-        return lambda: relative_entropy(pri[a], pri[b], cfg)
+# the sections that reproduce and the CLI's --table accept
+_SECTIONS = tuple(sorted({row[0] for row in _TABLE}))
 
-    def dpost(a, b, side, k=1):
-        return lambda: relative_entropy_vs_posterior(
-            pri[a], pri[b], b6.repeat(k), side, cfg)
+# (x, y) of each point at which a ``marginal`` id is evaluated
+_POINTS = {"disk": (0.3, 0.2), "origin": (0.0, 0.0)}
 
-    def zfac(a, rec=b6):
-        return lambda: 1.0 / evidence(pri[a], rec, cfg)
 
-    zup = parse_record("Z+:1")
-    rows = [
-        # priors and normalization constants
-        ("s21", "norm.sld", 1.0 / math.pi ** 2, "exact-rational",
-         lambda: pri["sld"].normalization),
-        ("s21", "norm.km", 1.0 / (4.0 * math.pi ** 2), "exact-rational",
-         lambda: pri["km"].normalization),
-        ("s22", "norm.mc", 0.00513299, "six-digit",
-         lambda: pri["mc"].normalization),
-        ("s22", "norm.ld", 3.0 / (4.0 * math.pi), "exact-rational",
-         lambda: pri["ld"].normalization),
-        ("s23", "norm.p0", 1.12542e-6, "six-digit",
-         lambda: pri["p0"].normalization),
-        ("s23", "norm.p1", 5.69121e-4, "six-digit",
-         lambda: pri["p1"].normalization),
-        ("s23", "norm.p2", 5.13611e-3, "six-digit",
-         lambda: pri["p2"].normalization),
-        # prior-vs-prior divergences
-        ("s21", "d.sld.km", 0.0891523, "six-digit", d("sld", "km")),
-        ("s21", "d.km.sld", 0.0975976, "six-digit", d("km", "sld")),
-        ("s22", "d.km.mc", 0.112421, "six-digit", d("km", "mc")),
-        ("s22", "d.mc.km", 0.117982, "six-digit", d("mc", "km")),
-        ("s22", "d.sld.mc", 0.388323, "six-digit", d("sld", "mc")),
-        ("s22", "d.mc.sld", 0.445981, "six-digit", d("mc", "sld")),
-        ("s22", "d.ld.mc", 1.07895, "six-digit", d("ld", "mc")),
-        ("s22", "d.mc.ld", 1.98719, "six-digit", d("mc", "ld")),
-        ("s23", "d.p0.p1", 0.867442, "six-digit", d("p0", "p1")),
-        ("s23", "d.p0.p2", 5.76086, "six-digit", d("p0", "p2")),
-        ("s23", "d.p1.p0", 1.654, "four-digit", d("p1", "p0")),
-        ("s23", "d.p1.p2", 2.37198, "six-digit", d("p1", "p2")),
-        ("s23", "d.p2.p0", 7.06816, "six-digit", d("p2", "p0")),
-        ("s23", "d.p2.p1", 1.52109, "six-digit", d("p2", "p1")),
-        # posterior normalization factors (reciprocal evidences), balanced6
-        ("s21", "z.sld.balanced6", 64.0 * 192.0 / 71.0, "exact-rational",
-         zfac("sld")),
-        ("s21", "z.km.balanced6", 64.0 * 19600.0 / 6047.0, "exact-rational",
-         zfac("km")),
-        ("s23", "z.p0.balanced6", 335.987, "six-digit", zfac("p0")),
-        ("s23", "z.p1.balanced6", 327.546, "six-digit", zfac("p1")),
-        ("s23", "z.p2.balanced6", 249.378, "six-digit", zfac("p2")),
-        # prior vs posterior, published variant
-        ("s21", "d.sld.post_km.balanced6", 0.0720681, "six-digit",
-         dpost("sld", "km", pv)),
-        ("s21", "d.km.post_sld.balanced6", 0.457259, "six-digit",
-         dpost("km", "sld", pv)),
-        ("s21", "d.sld.post_km.balanced6x2", 0.334699, "six-digit",
-         dpost("sld", "km", pv, k=2)),
-        ("s22", "d.km.post_mc.balanced6", 0.106655, "six-digit",
-         dpost("km", "mc", pv)),
-        ("s22", "d.mc.post_km.balanced6", 0.482023, "six-digit",
-         dpost("mc", "km", pv)),
-        ("s22", "d.sld.post_mc.balanced6", 0.186964, "six-digit",
-         dpost("sld", "mc", pv)),
-        ("s22", "d.mc.post_sld.balanced6", 0.991175, "six-digit",
-         dpost("mc", "sld", pv)),
-        ("s22", "d.ld.post_mc.balanced6", 0.559829, "six-digit",
-         dpost("ld", "mc", pv)),
-        ("s22", "d.mc.post_ld.balanced6", 2.79851, "six-digit",
-         dpost("mc", "ld", pv)),
-        ("s23", "d.p0.post_p1.balanced6", 1.07576, "six-digit",
-         dpost("p0", "p1", pv)),
-        ("s23", "d.p0.post_p2.balanced6", 6.24184, "six-digit",
-         dpost("p0", "p2", pv)),
-        ("s23", "d.p1.post_p0.balanced6", 1.53564, "six-digit",
-         dpost("p1", "p0", pv)),
-        ("s23", "d.p1.post_p2.balanced6", 2.55172, "six-digit",
-         dpost("p1", "p2", pv)),
-        ("s23", "d.p2.post_p0.balanced6", 6.94979, "six-digit",
-         dpost("p2", "p0", pv)),
-        ("s23", "d.p2.post_p1.balanced6", 1.42817, "six-digit",
-         dpost("p2", "p1", pv)),
-        # posterior vs prior (position-exchanged statistics)
-        ("s21", "clarke.post_km.sld.balanced6", 0.0603743, "six-digit",
-         dpost("km", "sld", cl)),
-        ("s21", "clarke.post_sld.km.balanced6", 0.399442, "six-digit",
-         dpost("sld", "km", cl)),
-        ("s22", "clarke.post_mc.km.balanced6", 0.0910048, "six-digit",
-         dpost("mc", "km", cl)),
-        ("s22", "clarke.post_km.mc.balanced6", 0.452794, "six-digit",
-         dpost("km", "mc", cl)),
-        # information gains
-        ("s21", "gain.km.balanced6", 0.151575, "six-digit",
-         lambda: information_gain(pri["km"], b6, cfg)),
-        ("s21", "gain.sld.balanced6",
-         4693.0 / 1420.0 + math.log(3.0 / 71.0), "exact-rational",
-         lambda: information_gain(pri["sld"], b6, cfg)),
-        ("s21", "gain.km.zplus", 0.157404, "six-digit",
-         lambda: information_gain(pri["km"], zup, cfg)),
-        ("s21", "gain.sld.zplus", 5.0 / 6.0 - math.log(2.0), "exact-rational",
-         lambda: information_gain(pri["sld"], zup, cfg)),
-        # repeat sweep values beyond k=1 (k=1 values are the rows above)
-        ("s22", "sweep.ld.mc.balanced6.k2", 0.310686, "six-digit",
-         dpost("ld", "mc", pv, k=2)),
-        ("s22", "sweep.ld.mc.balanced6.k3", 0.307632, "six-digit",
-         dpost("ld", "mc", pv, k=3)),
-        ("s22", "sweep.ld.mc.balanced6.k4", 0.529577, "six-digit",
-         dpost("ld", "mc", pv, k=4)),
-        # crossover radii of normalized radial densities
-        ("s21", "crossover.km.sld", 0.957504, "four-digit",
-         lambda: crossover_radius(pri["km"], pri["sld"])),
-        ("s22", "crossover.mc.km", 0.9846, "four-digit",
-         lambda: crossover_radius(pri["mc"], pri["km"])),
-        ("s22", "crossover.mc.sld", 0.973932, "four-digit",
-         lambda: crossover_radius(pri["mc"], pri["sld"])),
-        ("s22", "crossover.mc.ld", 0.948724, "four-digit",
-         lambda: crossover_radius(pri["mc"], pri["ld"])),
-        # boundary density ratios at the truncation radius
-        ("s23", "ratio.p0.p1.at_R", 5.89521, "six-digit",
-         lambda: density_ratio_at(pri["p0"], pri["p1"],
-                                  DEFAULT_TRUNCATION_RADIUS)),
-        ("s23", "ratio.p0.p2.at_R", 1947.41, "six-digit",
-         lambda: density_ratio_at(pri["p0"], pri["p2"],
-                                  DEFAULT_TRUNCATION_RADIUS)),
-        ("s23", "ratio.p1.p2.at_R", 330.338, "six-digit",
-         lambda: density_ratio_at(pri["p1"], pri["p2"],
-                                  DEFAULT_TRUNCATION_RADIUS)),
-        # second moments of z
-        ("s3", "var_z.mc", 0.301762, "six-digit",
-         lambda: variance_z(pri["mc"], cfg)),
-        ("s3", "var_z.km", 5.0 / 18.0, "exact-rational",
-         lambda: variance_z(pri["km"], cfg)),
-        ("s3", "var_z.sld", 0.25, "exact-rational",
-         lambda: variance_z(pri["sld"], cfg)),
-        ("s3", "var_z.ld", 0.2, "exact-rational",
-         lambda: variance_z(pri["ld"], cfg)),
-        # marginal and conditional spot values
-        ("s3", "marginal.sld.disk", 1.0 / math.pi, "exact-rational",
-         lambda: infotheory.bivariate_marginal(pri["sld"], 0.3, 0.2, cfg)),
-        ("s3", "marginal.p0.origin", 1.0 / (2.0 * math.pi), "four-digit",
-         lambda: infotheory.bivariate_marginal(pri["p0"], 0.0, 0.0, cfg)),
-        ("s3", "conditional.x0", 1.0 / math.pi, "exact-rational",
-         lambda: infotheory.conditional_x(pri["p0"], 0.0)),
-        # the published nats-to-bits factor (1.4227) disagrees with
-        # 1/log 2; the correct constant is computed, so this row fails
-        ("s21", "units.nats_to_bits", 1.4227, "six-digit",
-         lambda: NATS_TO_BITS),
-    ]
-    return rows
+def _record(token: str) -> MeasurementRecord:
+    """``zplus`` is ``Z+:1``, and ``balanced6x<k>`` is ``balanced6^<k>``."""
+    if token == "zplus":
+        return parse_record("Z+:1")
+    if not token.startswith("balanced6") or "^" in token:
+        raise ValueError(f"unknown record {token!r} in a quantity id")
+    return parse_record(token.replace("x", "^"))
+
+
+def _quantity(qid: str, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """The value of quantity id ``qid`` (module docstring), by one call of
+    the public API; ValueError on an id that does not parse."""
+    prior = partial(make_prior, cfg=cfg)
+    form, *a = qid.split(".")
+    n = len(a)
+    if form == "norm" and n == 1:
+        return prior(a[0]).normalization
+    if form == "var_z" and n == 1:
+        return variance_z(prior(a[0]), cfg)
+    if form == "d" and n == 2:
+        return relative_entropy(prior(a[0]), prior(a[1]), cfg)
+    if form == "z" and n == 2:
+        return 1.0 / evidence(prior(a[0]), _record(a[1]), cfg)
+    if form == "d" and n == 3 and a[1].startswith("post_"):
+        return relative_entropy_vs_posterior(
+            prior(a[0]), prior(a[1][5:]), _record(a[2]),
+            PosteriorSide.SECOND_IS_POSTERIOR, cfg)
+    if form == "clarke" and n == 3 and a[0].startswith("post_"):
+        return relative_entropy_vs_posterior(
+            prior(a[0][5:]), prior(a[1]), _record(a[2]),
+            PosteriorSide.FIRST_IS_POSTERIOR, cfg)
+    if form == "gain" and n == 2:
+        return information_gain(prior(a[0]), _record(a[1]), cfg)
+    if form == "sweep" and n == 4 and a[3].startswith("k"):
+        return _quantity(f"d.{a[0]}.post_{a[1]}.{a[2]}x{a[3][1:]}", cfg)
+    if form == "crossover" and n == 2:
+        return crossover_radius(prior(a[0]), prior(a[1]))
+    if form == "ratio" and n == 3 and a[2] == "at_R":
+        return density_ratio_at(prior(a[0]), prior(a[1]),
+                                DEFAULT_TRUNCATION_RADIUS)
+    if form == "marginal" and n == 2 and a[1] in _POINTS:
+        return infotheory.bivariate_marginal(prior(a[0]), *_POINTS[a[1]], cfg)
+    if qid == "conditional.x0":
+        return infotheory.conditional_x(prior("p0"), 0.0)
+    if qid == "units.nats_to_bits":
+        return NATS_TO_BITS
+    raise ValueError(f"malformed quantity id {qid!r}")
 
 
 def reproduce(table: str = "all",
               cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """Recompute the published quantities of one section (or all of them)."""
-    if table not in ("all", "s21", "s22", "s23", "s3"):
+    if table != "all" and table not in _SECTIONS:
         raise ValueError(f"unknown table {table!r}")
     rows = []
-    for tbl, qid, published, cls, thunk in _registry(cfg):
-        if table != "all" and tbl != table:
+    for section, qid, published, cls in _TABLE:
+        if table not in ("all", section):
             continue
         try:
-            computed = float(thunk())
+            computed = float(_quantity(qid, cfg))
         except BlochPriorsError:
             computed = float("nan")
         rows.append(_row(qid, published, computed, cls))
-    rows.sort(key=lambda r: r.quantity_id)
-    return rows
+    return sorted(rows, key=lambda r: r.quantity_id)
 

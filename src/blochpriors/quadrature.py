@@ -81,7 +81,7 @@ def _quad(fn, a, b, cfg: QuadratureConfig):
 
 def _s_limit(R: float) -> float:
     """Upper end in s of the radial interval [0, R]; _S_CAP stands for R = 1."""
-    return _S_CAP if R >= 1.0 else math.log((1.0 + R) / (1.0 - R))
+    return _S_CAP if R >= 1.0 else 2.0 * math.atanh(R)
 
 
 def quad_s(w_s: Callable[[float], float], R: float,

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -103,7 +104,7 @@ def test_reproduce_csv(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0].startswith("quantity_id,paper_value,computed")
-    assert len(lines) - 1 >= 45
+    assert len(lines) - 1 == 67
 
 
 def test_csv_and_json_emitters(capsys):
@@ -177,6 +178,18 @@ def test_improper_radius_exits_1(capsys):
     code, _, err = run(capsys, "kl", "--p", "p0", "--q", "p1", "--R", "1.0")
     assert code == 1
     assert "Improper" in err
+
+
+def test_small_radius(capsys):
+    """A radius too small for the normalization to be a finite number is a
+    one-line usage error; above that the command runs."""
+    code, out, err = run(capsys, "kl", "--p", "sld", "--q", "ld",
+                         "--R", "1e-120")
+    assert code == 2
+    assert not out and err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "kl", "--p", "sld", "--q", "ld", "--R", "1e-9")
+    assert code == 0
+    assert math.isfinite(float(out))
 
 
 def test_underflowed_evidence_exits_1(capsys):

@@ -13,10 +13,12 @@ from blochpriors import (PosteriorSide, QuadratureConfig, balanced_six,
                          reproduce, search_min_record)
 from blochpriors import experiments, infotheory
 from blochpriors.errors import BudgetExceededError, NonConvergenceError
-from blochpriors.experiments import (_candidate_count, _orbit_representatives,
+from blochpriors.experiments import (_TABLE, _candidate_count,
+                                     _orbit_representatives, _quantity,
                                      _RecordObjective)
 from blochpriors.measurement import MeasurementRecord
 from blochpriors.quadrature import DEFAULT_CONFIG
+from oracles import normalization, record_evidence, truncated_balanced6
 
 B6 = balanced_six()
 
@@ -240,7 +242,7 @@ def test_search_deterministic():
 
 def test_reproduce_row_count_and_failures():
     rows = reproduce("all")
-    assert len(rows) >= 45
+    assert len(rows) == 67
     failing = {r.quantity_id for r in rows if not r.passed}
     assert failing == EXPECTED_FAILING_ROWS
 
@@ -272,6 +274,40 @@ def test_reproduce_spot_values():
     assert rows["z.sld.balanced6"].tolerance_class == "exact-rational"
     assert rows["z.sld.balanced6"].passed
 
+
+def test_quantity_ids_say_what_they_compute():
+    """Every table id the oracle covers evaluates to the oracle's value of
+    that id: the seven norm.* ids, the z.* ids and the 18 ids keyed in
+    truncated_balanced6()."""
+    ids = [row[1] for row in _TABLE]
+    b6 = {(axis, sign): 1 for axis in "XYZ" for sign in "+-"}
+    want = [(qid, normalization(qid[5:]))
+            for qid in ids if qid.startswith("norm.")]
+    for qid in ids:
+        if qid.startswith("z."):
+            _, kind, rec = qid.split(".")
+            assert rec == "balanced6", qid
+            want.append((qid, 1.0 / record_evidence(kind, b6)))
+    truncated = [(qid, value) for qid, value in truncated_balanced6().items()
+                 if qid in ids]
+    assert len(truncated) == 18
+    want += truncated
+    # 7 norm.* ids, 5 z.* ids and 12 d.* ids
+    assert len({qid for qid, _ in want}) == 24
+    for qid, value in want:
+        assert _quantity(qid, TIGHT) == pytest.approx(
+            value, rel=1e-10, abs=0.0), qid
+
+
+@pytest.mark.parametrize("qid", [
+    "d.sld", "norm.xx", "z.sld.balanced7", "z.sld.balanced6x0",
+    "sweep.ld.mc.balanced6.k0", "marginal.sld.moon", "foo.bar",
+    "z.sld.balanced6^2", "d.sld.km.balanced6", "clarke.km.sld.balanced6",
+    "ratio.p0.p1.at_1", "conditional.x1", "",
+])
+def test_malformed_quantity_ids_raise_value_error(qid):
+    with pytest.raises(ValueError):
+        _quantity(qid)
 
 
 def _raising(exc):

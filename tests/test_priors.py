@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,7 @@ from blochpriors import (DEFAULT_TRUNCATION_RADIUS, PRIOR_LABELS, BlochPoint,
 from blochpriors.errors import ImproperPriorError, OutOfSupportError
 from blochpriors.priors import boundary_log
 from blochpriors.quadrature import _s_rule
-from oracles import normalization
+from oracles import _BARE, normalization
 
 R10 = DEFAULT_TRUNCATION_RADIUS
 GRID = np.linspace(0.05, 0.95, 19)
@@ -133,6 +134,39 @@ def test_prior_integrates_to_one(kind):
     the 30-digit mass of g in oracles.py."""
     assert make_prior(kind).normalization == pytest.approx(
         normalization(kind), rel=1e-12)
+
+
+def _normalization_at(kind, R):
+    """c of ``kind`` on the ball of radius R, from a 30-digit integral of
+    its bare factor in t = r/R.  Every g vanishes like r^2, so g/R^2 is of
+    order one and the quadrature's error criterion holds at any R."""
+    with mpmath.workdps(30):
+        R = mpmath.mpf(R)
+
+        def g(t):
+            r = R * t
+            return _BARE[kind](r, 1 - r * r, 2 * mpmath.atanh(r)) / R ** 2
+
+        return float(1 / (4 * mpmath.pi * R ** 3 * mpmath.quad(g, [0, 1])))
+
+
+@pytest.mark.parametrize("R", [0.6, 0.31, 0.29, 0.1, 1e-2, 1e-4, 1e-6, 1e-8,
+                               1e-9, 1e-20])
+@pytest.mark.parametrize("kind", PRIOR_LABELS)
+def test_normalization_at_small_radius(kind, R):
+    """The closed forms of sld and p0 cancel at small R, and the series
+    that replaces them there meets the closed form at 0.3 without a
+    jump."""
+    assert make_prior(kind, R=R).normalization == pytest.approx(
+        _normalization_at(kind, R), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", PRIOR_LABELS)
+def test_radius_too_small_to_normalize(kind):
+    """Below R ~ 1e-103 the mass of every prior underflows: a ValueError
+    names the radius, where a ZeroDivisionError used to escape."""
+    with pytest.raises(ValueError, match="too small"):
+        make_prior(kind, R=1e-120)
 
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
